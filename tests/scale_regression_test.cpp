@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "arch/delay_model.h"
@@ -145,6 +146,11 @@ constexpr Golden kGoldens[] = {
      1253.6798999999999, 38.799999999999997, 1484.3474999999996, 20, 8, 67,
      9878920138436358821ull, 11797181351298554228ull, 7268923040173613321ull},
 };
+
+// gtest's default printer dumps the raw bytes of a Golden, which starts with
+// the address of the circuit-name literal; under ASLR that made the
+// discovered ctest names differ from build to build. Print the name instead.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.circuit; }
 
 class GoldenTrajectory : public ::testing::TestWithParam<Golden> {};
 
