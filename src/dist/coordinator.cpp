@@ -9,52 +9,14 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
-#include "audit/auditor.h"
 #include "dist/frame.h"
 #include "dist/protocol.h"
-#include "serve/snapshot.h"
-#include "serve/wire.h"
-#include "util/cancel.h"
+#include "serve/lifecycle.h"
 #include "util/log.h"
 
 namespace repro {
-namespace {
-
-double mono_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
-/// Atomic byte-level file write (tmp + rename), used for checkpoints a
-/// worker streamed: the bytes are already a complete serialized snapshot,
-/// so re-parsing them just to call write_snapshot_file would be waste.
-void write_bytes_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f || !f.write(bytes.data(), static_cast<std::streamsize>(bytes.size())))
-      throw std::runtime_error("cannot write checkpoint " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("cannot rename checkpoint " + tmp + ": " +
-                             ec.message());
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return "";
-  std::string bytes((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-  return f.bad() ? "" : bytes;
-}
-
-}  // namespace
 
 std::string DistStats::summary() const {
   char buf[512];
@@ -98,6 +60,7 @@ struct Coordinator::Impl {
     bool hello_done = false;
     double last_seen = 0;
     int job = -1;  ///< batch job index in flight, -1 = idle
+    int attempt = 0;  ///< the attempt of `job` this worker is running
     bool dead = false;
   };
   std::vector<std::unique_ptr<Conn>> conns_;
@@ -109,34 +72,12 @@ struct Coordinator::Impl {
   std::vector<Child> children_;
   int next_worker_id_ = 1;
   int respawns_used_ = 0;
-  bool batch_active_ = false;
 
-  // ServiceStats-compatible counters (single event-loop thread writes them;
-  // stats() is called between batches on the same thread).
-  std::uint64_t jobs_completed_ = 0, jobs_failed_ = 0, jobs_timed_out_ = 0,
-                jobs_interrupted_ = 0, jobs_quarantined_ = 0,
-                jobs_invalid_ = 0, jobs_retried_ = 0, jobs_resumed_ = 0,
-                checkpoints_written_ = 0, checkpoint_bytes_ = 0;
-  double queue_latency_total_ = 0, queue_latency_max_ = 0;
+  JobCounters counters_;  ///< ServiceStats, cumulative over batches
 
   // ---- per-batch runtime ---------------------------------------------------
-  struct JobRt {
-    int index = -1;  ///< batch index = position in jobs_/results
-    const JobSpec* spec = nullptr;
-    JobResult* result = nullptr;
-    int attempt = 1;
-    std::string ckpt;  ///< latest stage-boundary snapshot bytes ("" = none)
-    std::vector<int> dead_workers;  ///< distinct worker_ids that died on it
-    double ready_at = 0;            ///< retry backoff gate
-    double first_assign = -1;
-    bool finished = false;
-    bool local_only = false;  ///< quarantined from remote execution
-    std::uint64_t backoff_seed = 0;
-  };
-  std::vector<JobRt> jobs_;
+  std::unique_ptr<JobLifecycle> lc_;  ///< null between batches
   std::deque<int> pending_;
-  int unfinished_ = 0;
-  double batch_start_ = 0;
   bool degraded_ = false;
   double zero_workers_since_ = -1;
 
@@ -144,7 +85,7 @@ struct Coordinator::Impl {
     return self_.shutdown_requested_.load(std::memory_order_relaxed);
   }
 
-  // ---- lifecycle -----------------------------------------------------------
+  // ---- processes and sockets -----------------------------------------------
 
   SocketAddr start() {
     listen_fd_ = listen_socket(opt_.listen, &bound_);
@@ -208,7 +149,7 @@ struct Coordinator::Impl {
   }
 
   void maybe_respawn(bool allow) {
-    if (!allow || !batch_active_ || unfinished_ == 0) return;
+    if (!allow || !lc_ || lc_->unfinished() == 0) return;
     if (respawns_used_ >= opt_.respawn_budget) return;
     ++respawns_used_;
     // Replacements never inherit fault plans: a chaos schedule names the
@@ -239,8 +180,8 @@ struct Coordinator::Impl {
     }
     conns_.clear();
     // Give clean exits a moment, then make sure nothing outlives us.
-    const double deadline = mono_seconds() + 2.0;
-    while (live_children() > 0 && mono_seconds() < deadline) {
+    const double deadline = steady_seconds() + 2.0;
+    while (live_children() > 0 && steady_seconds() < deadline) {
       reap_children(/*allow_respawn=*/false);
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
@@ -257,75 +198,27 @@ struct Coordinator::Impl {
   // ---- batch ---------------------------------------------------------------
 
   std::vector<JobResult> run_batch(const std::vector<JobSpec>& specs) {
-    if (!opt_.service.checkpoint_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(
-          std::filesystem::path(opt_.service.checkpoint_dir), ec);
-      if (ec)
-        throw std::runtime_error("cannot create checkpoint dir " +
-                                 opt_.service.checkpoint_dir + ": " +
-                                 ec.message());
-    }
-
-    std::vector<JobResult> results(specs.size());
-    jobs_.clear();
-    jobs_.resize(specs.size());
+    lc_ = std::make_unique<JobLifecycle>(opt_.service, specs, counters_,
+                                         self_.shutdown_requested_);
     pending_.clear();
-    unfinished_ = 0;
+    for (const JobLifecycle::Job& j : lc_->jobs())
+      if (!j.finished) pending_.push_back(static_cast<int>(j.index));
     degraded_ = false;
     zero_workers_since_ = -1;
-    batch_start_ = mono_seconds();
-
-    const std::vector<std::string> errors = validate_batch(specs);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      results[i].spec = specs[i];
-      JobRt& jr = jobs_[i];
-      jr.index = static_cast<int>(i);
-      jr.spec = &specs[i];
-      jr.result = &results[i];
-      if (!errors[i].empty()) {
-        results[i].state = JobState::kFailed;
-        results[i].error_code = kJobInvalidSpec;
-        results[i].error = errors[i];
-        jr.finished = true;
-        ++jobs_invalid_;
-        continue;
-      }
-      jr.backoff_seed = fnv1a64(specs[i].id);
-      if (opt_.service.resume && !opt_.service.checkpoint_dir.empty())
-        jr.ckpt = read_file_bytes(opt_.service.checkpoint_dir + "/" +
-                                  specs[i].id + ".ckpt");
-      pending_.push_back(static_cast<int>(i));
-      ++unfinished_;
-    }
-
-    batch_active_ = true;
     // Workers idled between batches without anyone reading their
     // heartbeats; what is buffered in the sockets is history, not silence.
-    const double now0 = mono_seconds();
-    for (auto& c : conns_) c->last_seen = now0;
+    reset_liveness_clock();
 
     event_loop();
 
-    if (shutting_down()) {
-      for (JobRt& jr : jobs_) {
-        if (jr.finished) continue;
-        jr.result->state = JobState::kCheckpointed;
-        jr.result->error_code = kJobInterrupted;
-        if (jr.result->error.empty())
-          jr.result->error = "service shut down before the job finished";
-        jr.result->attempts = jr.attempt;
-        jr.finished = true;
-        --unfinished_;
-        ++jobs_interrupted_;
-      }
-    }
-    batch_active_ = false;
+    if (shutting_down()) lc_->interrupt_unfinished();
+    std::vector<JobResult> results = lc_->take_results();
+    lc_.reset();
     return results;
   }
 
   void event_loop() {
-    while (unfinished_ > 0 && !shutting_down()) {
+    while (lc_->unfinished() > 0 && !shutting_down()) {
       reap_children(/*allow_respawn=*/true);
       poll_once();
       if (shutting_down()) break;
@@ -368,7 +261,7 @@ struct Coordinator::Impl {
       if (!fd.valid()) return;
       auto c = std::make_unique<Conn>();
       c->fd = std::move(fd);
-      c->last_seen = mono_seconds();
+      c->last_seen = steady_seconds();
       conns_.push_back(std::move(c));
     }
   }
@@ -394,7 +287,7 @@ struct Coordinator::Impl {
   }
 
   void handle_frame(Conn& c, const Frame& f) {
-    c.last_seen = mono_seconds();
+    c.last_seen = steady_seconds();
     switch (f.tag) {
       case kFrameHello: {
         const HelloMsg m = decode_hello(f.payload);
@@ -417,42 +310,38 @@ struct Coordinator::Impl {
         decode_heartbeat(f.payload);  // validates; last_seen already bumped
         break;
       case kFrameCheckpoint: {
-        const CheckpointMsg m = decode_checkpoint(f.payload);
-        JobRt* jr = job_for(m.job_index);
-        if (!jr || jr->finished) break;  // stale frame from a reassigned job
-        jr->ckpt = m.snapshot;
+        CheckpointMsg m = decode_checkpoint(f.payload);
+        // Only the live attempt's checkpoints count; a settled attempt
+        // still running on this worker is stale.
+        if (static_cast<int>(m.job_index) != c.job ||
+            !lc_->current(m.job_index, c.attempt))
+          break;
         ++self_.dist_stats_.checkpoints_streamed;
         self_.dist_stats_.checkpoint_stream_bytes += m.snapshot.size();
-        record_checkpoint_file(*jr);
+        JobLifecycle::Job& j = lc_->jobs()[m.job_index];
+        if (lc_->checkpoint_remote(j, std::move(m.snapshot))) break;
+        // The mirror write failed and settled the attempt: nobody waits for
+        // the rest of it, so free the worker instead of letting it run on.
+        retire(c);
+        if (!j.finished) pending_.push_back(static_cast<int>(j.index));
         break;
       }
       case kFrameResult: {
         const ResultMsg m = decode_result(f.payload);
-        JobRt* jr = job_for(m.job_index);
         if (c.job == static_cast<int>(m.job_index)) c.job = -1;
-        if (!jr || jr->finished) break;
-        if (m.resumed && m.attempt == 1) ++jobs_resumed_;
-        apply_result_payload(m, *jr->result);
-        settle(*jr, m.outcome, m.error);
-        if (jr->finished) ++self_.dist_stats_.jobs_completed_remote;
+        if (!lc_->current(m.job_index, static_cast<int>(m.attempt))) break;
+        JobLifecycle::Job& j = lc_->jobs()[m.job_index];
+        JobResult attempt;
+        apply_result_payload(m, attempt);
+        if (lc_->settle(j, m.outcome, std::move(attempt)))
+          ++self_.dist_stats_.jobs_completed_remote;
+        else
+          pending_.push_back(static_cast<int>(j.index));
         break;
       }
       default:
         break;  // unknown tag from a newer worker: skippable by design
     }
-  }
-
-  JobRt* job_for(std::uint32_t index) {
-    if (index >= jobs_.size()) return nullptr;
-    return &jobs_[index];
-  }
-
-  void record_checkpoint_file(JobRt& jr) {
-    ++checkpoints_written_;
-    checkpoint_bytes_ += jr.ckpt.size();
-    if (opt_.service.checkpoint_dir.empty()) return;
-    write_bytes_atomic(
-        opt_.service.checkpoint_dir + "/" + jr.spec->id + ".ckpt", jr.ckpt);
   }
 
   void send_to(Conn& c, std::uint32_t tag, const std::string& payload) {
@@ -465,35 +354,38 @@ struct Coordinator::Impl {
     if (c.dead) return;
     c.dead = true;
     ++self_.dist_stats_.workers_died;
-    if (c.job >= 0) {
-      JobRt& jr = jobs_[c.job];
-      c.job = -1;
-      if (!jr.finished) {
-        if (std::find(jr.dead_workers.begin(), jr.dead_workers.end(),
-                      c.worker_id) == jr.dead_workers.end())
-          jr.dead_workers.push_back(c.worker_id);
-        ++self_.dist_stats_.jobs_reassigned;
-        if (static_cast<int>(jr.dead_workers.size()) >=
-            opt_.max_worker_deaths_per_job) {
-          jr.local_only = true;
-          ++self_.dist_stats_.jobs_quarantined_remote;
-          LOG_WARN() << "coordinator: job " << jr.spec->id << " survived "
-                     << jr.dead_workers.size()
-                     << " worker deaths; finishing it in-process";
-        }
-        // Front of the queue: the job resumes from its last streamed
-        // checkpoint before fresh work starts. A death does NOT burn the
-        // retry budget — the job did nothing wrong.
-        pending_.push_front(jr.index);
+    if (c.job >= 0 && lc_->current(c.job, c.attempt)) {
+      JobLifecycle::Job& j = lc_->jobs()[c.job];
+      ++self_.dist_stats_.jobs_reassigned;
+      if (lc_->worker_died(j, opt_.max_worker_deaths_per_job)) {
+        ++self_.dist_stats_.jobs_quarantined_remote;
+        LOG_WARN() << "coordinator: job " << j.spec->id << " survived "
+                   << j.worker_deaths
+                   << " worker deaths; finishing it in-process";
       }
+      // Front of the queue: the job resumes from its last streamed
+      // checkpoint before fresh work starts.
+      pending_.push_front(c.job);
     }
+    c.job = -1;
     (void)why;
+    kill_child_pid(c.pid);
+  }
+
+  /// Drops a worker whose attempt was settled before it reported back. Not
+  /// a death: the job is not charged for it. A spawned worker is killed and
+  /// replaced; a connected one sees its connection close and reconnects.
+  void retire(Conn& c) {
+    LOG_WARN() << "coordinator: dropping worker " << c.worker_id
+               << ": its attempt was settled early";
+    c.dead = true;
+    c.job = -1;
     kill_child_pid(c.pid);
   }
 
   void scan_heartbeats() {
     if (opt_.heartbeat_timeout_s <= 0) return;
-    const double now = mono_seconds();
+    const double now = steady_seconds();
     for (auto& c : conns_) {
       if (c->dead) continue;
       if (now - c->last_seen > opt_.heartbeat_timeout_s) {
@@ -514,92 +406,32 @@ struct Coordinator::Impl {
   }
 
   void dispatch() {
-    const double now = mono_seconds();
+    const double now = steady_seconds();
     for (auto& c : conns_) {
       if (c->dead || !c->hello_done || c->job >= 0) continue;
       // First pending job that is remote-eligible and past its backoff.
       auto it = std::find_if(pending_.begin(), pending_.end(), [&](int j) {
-        return !jobs_[j].local_only && jobs_[j].ready_at <= now;
+        const JobLifecycle::Job& job = lc_->jobs()[j];
+        return !job.local_only && job.ready_at <= now;
       });
       if (it == pending_.end()) return;
-      const int job = *it;
+      JobLifecycle::Job& j = lc_->jobs()[*it];
       pending_.erase(it);
-      assign(*c, job);
+      assign(*c, j);
     }
   }
 
-  void assign(Conn& c, int job) {
-    JobRt& jr = jobs_[job];
-    if (jr.first_assign < 0) {
-      jr.first_assign = mono_seconds();
-      const double q = jr.first_assign - batch_start_;
-      jr.result->queue_seconds = q;
-      queue_latency_total_ += q;
-      queue_latency_max_ = std::max(queue_latency_max_, q);
-    }
+  void assign(Conn& c, JobLifecycle::Job& j) {
+    lc_->start(j);
     AssignMsg m;
-    m.job_index = static_cast<std::uint32_t>(job);
-    m.attempt = static_cast<std::uint32_t>(jr.attempt);
-    m.spec = *jr.spec;
-    m.snapshot = jr.ckpt;
-    c.job = job;
+    m.job_index = static_cast<std::uint32_t>(j.index);
+    m.attempt = static_cast<std::uint32_t>(j.attempt);
+    m.spec = *j.spec;
+    m.snapshot = j.resume;
+    c.job = static_cast<int>(j.index);
+    c.attempt = j.attempt;
     send_to(c, kFrameAssign, encode_assign(m));
     // send_to may have declared the worker dead, which requeued the job.
-  }
-
-  /// One attempt ended (remote Result frame or local execution): apply the
-  /// Scheduler::run_one classification. Returns with jr.finished set, or
-  /// with the job requeued behind its jittered backoff for another attempt.
-  void settle(JobRt& jr, AttemptOutcome outcome, const std::string& error) {
-    JobResult& r = *jr.result;
-    switch (outcome) {
-      case AttemptOutcome::kDone:
-        r.state = JobState::kDone;
-        r.error_code = kJobOk;
-        ++jobs_completed_;
-        break;
-      case AttemptOutcome::kDeadline:
-        r.state = JobState::kTimedOut;
-        r.error_code = kJobTimedOut;
-        if (!error.empty()) r.error = error;
-        ++jobs_timed_out_;
-        break;
-      case AttemptOutcome::kKilled:
-        r.state = JobState::kCheckpointed;
-        r.error_code = kJobInterrupted;
-        if (!error.empty()) r.error = error;
-        ++jobs_interrupted_;
-        break;
-      case AttemptOutcome::kAudit:
-        r.state = JobState::kFailed;
-        r.error_code = kJobAuditFailed;
-        if (!error.empty()) r.error = error;
-        ++jobs_quarantined_;
-        ++jobs_failed_;
-        break;
-      case AttemptOutcome::kError: {
-        if (!error.empty()) r.error = error;
-        if (jr.attempt <= opt_.service.max_retries && !shutting_down()) {
-          ++jobs_retried_;
-          jr.ready_at =
-              mono_seconds() +
-              retry_backoff_with_jitter(opt_.service.retry_backoff_seconds,
-                                        jr.attempt, jr.backoff_seed);
-          ++jr.attempt;
-          pending_.push_back(jr.index);
-          return;
-        }
-        r.state = JobState::kFailed;
-        r.error_code = kJobFailed;
-        ++jobs_failed_;
-        break;
-      }
-    }
-    jr.finished = true;
-    --unfinished_;
-    r.attempts = jr.attempt;
-    if (jr.first_assign >= 0)
-      r.run_seconds = mono_seconds() - jr.first_assign;
   }
 
   // ---- in-process execution (quarantine + degradation) ---------------------
@@ -607,12 +439,12 @@ struct Coordinator::Impl {
   void run_local_only_jobs() {
     for (;;) {
       auto it = std::find_if(pending_.begin(), pending_.end(), [&](int j) {
-        return jobs_[j].local_only;
+        return lc_->jobs()[j].local_only;
       });
       if (it == pending_.end()) return;
       const int job = *it;
       pending_.erase(it);
-      run_in_process(jobs_[job], /*degraded=*/false);
+      lc_->run_attempts_locally(lc_->jobs()[job]);
       reset_liveness_clock();
       if (shutting_down()) return;
     }
@@ -625,113 +457,24 @@ struct Coordinator::Impl {
       zero_workers_since_ = -1;
       return;
     }
-    const double now = mono_seconds();
+    const double now = steady_seconds();
     if (zero_workers_since_ < 0) zero_workers_since_ = now;
     if (now - zero_workers_since_ < opt_.degrade_grace_s) return;
     degraded_ = true;
     LOG_WARN() << "coordinator: no workers available; degrading to "
                << "in-process execution for " << pending_.size()
                << " remaining job(s)";
-    while (!pending_.empty() && !shutting_down()) {
-      const int job = pending_.front();
-      pending_.pop_front();
-      run_in_process(jobs_[job], /*degraded=*/true);
-    }
-    reset_liveness_clock();
+    // run_local_only_jobs takes them from here, in queue order.
+    for (const int job : pending_) lc_->jobs()[job].local_only = true;
+    self_.dist_stats_.jobs_degraded += pending_.size();
   }
 
   /// In-process runs block the event loop; whatever silence accumulated on
   /// worker sockets during them is the coordinator's fault, not the
   /// workers'. Reset the clocks before judging anyone.
   void reset_liveness_clock() {
-    const double now = mono_seconds();
+    const double now = steady_seconds();
     for (auto& c : conns_) c->last_seen = now;
-  }
-
-  void run_in_process(JobRt& jr, bool degraded) {
-    if (degraded) ++self_.dist_stats_.jobs_degraded;
-    if (jr.first_assign < 0) {
-      jr.first_assign = mono_seconds();
-      const double q = jr.first_assign - batch_start_;
-      jr.result->queue_seconds = q;
-      queue_latency_total_ += q;
-      queue_latency_max_ = std::max(queue_latency_max_, q);
-    }
-    while (!jr.finished) {
-      sleep_until_ready(jr);
-      if (shutting_down()) {
-        settle(jr, AttemptOutcome::kKilled,
-               "service shut down before the job finished");
-        return;
-      }
-      FlowSnapshot loaded;
-      bool have_loaded = false;
-      if (!jr.ckpt.empty()) {
-        try {
-          loaded = parse_snapshot(jr.ckpt);
-          have_loaded = true;
-        } catch (const SnapshotError& e) {
-          LOG_WARN() << "coordinator: job " << jr.spec->id
-                     << ": ignoring unreadable checkpoint: " << e.what();
-        }
-      }
-      FlowAttemptRequest req;
-      req.spec = jr.spec;
-      req.attempt = jr.attempt;
-      req.resume = have_loaded ? &loaded : nullptr;
-      req.kill_flag = &self_.shutdown_requested_;
-      req.on_checkpoint = [this, &jr](const FlowSnapshot& snap) {
-        jr.ckpt = serialize_snapshot(snap);
-        record_checkpoint_file(jr);
-      };
-      AttemptOutcome outcome = AttemptOutcome::kDone;
-      std::string error;
-      try {
-        run_flow_attempt(opt_.service, req, *jr.result);
-      } catch (const FlowCancelled& e) {
-        outcome =
-            e.killed() ? AttemptOutcome::kKilled : AttemptOutcome::kDeadline;
-        error = e.what();
-      } catch (const AuditError& e) {
-        outcome = AttemptOutcome::kAudit;
-        error = e.what();
-      } catch (const std::exception& e) {
-        outcome = AttemptOutcome::kError;
-        error = e.what();
-      }
-      if (outcome == AttemptOutcome::kDone && jr.result->resumed &&
-          jr.attempt == 1)
-        ++jobs_resumed_;
-      settle(jr, outcome, error);
-      // A retry re-enters this loop directly: the queue entry settle()
-      // pushed is for remote dispatch, which this job no longer gets.
-      if (!jr.finished) {
-        auto it = std::find(pending_.begin(), pending_.end(), jr.index);
-        if (it != pending_.end()) pending_.erase(it);
-      }
-    }
-  }
-
-  void sleep_until_ready(JobRt& jr) {
-    while (!shutting_down() && mono_seconds() < jr.ready_at)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  ServiceStats stats() const {
-    ServiceStats s;
-    s.jobs_completed = jobs_completed_;
-    s.jobs_failed = jobs_failed_;
-    s.jobs_timed_out = jobs_timed_out_;
-    s.jobs_interrupted = jobs_interrupted_;
-    s.jobs_quarantined = jobs_quarantined_;
-    s.jobs_invalid = jobs_invalid_;
-    s.jobs_retried = jobs_retried_;
-    s.jobs_resumed = jobs_resumed_;
-    s.checkpoints_written = checkpoints_written_;
-    s.checkpoint_bytes = checkpoint_bytes_;
-    s.queue_latency_seconds_total = queue_latency_total_;
-    s.queue_latency_seconds_max = queue_latency_max_;
-    return s;
   }
 };
 
@@ -756,6 +499,8 @@ void Coordinator::stop() {
   if (impl_) impl_->stop();
 }
 
-ServiceStats Coordinator::stats() const { return impl_->stats(); }
+ServiceStats Coordinator::stats() const {
+  return impl_->counters_.snapshot();
+}
 
 }  // namespace repro

@@ -195,14 +195,14 @@ ResultMsg decode_result(const std::string& payload) {
 }
 
 void apply_result_payload(const ResultMsg& m, JobResult& r) {
-  if (!m.error.empty()) r.error = m.error;
+  r.error = m.error;
   r.completed_stage = static_cast<FlowStage>(m.completed_stage);
-  r.resumed = r.resumed || m.resumed;
+  r.resumed = m.resumed;
   r.engine = m.engine;
   r.has_metrics = m.has_metrics;
   r.metrics = m.metrics;
   r.audit_level = m.audit_level;
-  r.audit_checks += m.audit_checks;
+  r.audit_checks = m.audit_checks;
   r.audit_stage = m.audit_stage;
   r.audit_findings = m.audit_findings;
   r.audit_jsonl = m.audit_jsonl;
@@ -216,13 +216,12 @@ void apply_result_payload(const ResultMsg& m, JobResult& r) {
 }
 
 ResultMsg result_msg_from(const JobResult& r, std::uint32_t job_index,
-                          std::uint32_t attempt, AttemptOutcome outcome,
-                          const std::string& error) {
+                          std::uint32_t attempt, AttemptOutcome outcome) {
   ResultMsg m;
   m.job_index = job_index;
   m.attempt = attempt;
   m.outcome = outcome;
-  m.error = error;
+  m.error = r.error;
   m.completed_stage = static_cast<std::uint8_t>(r.completed_stage);
   m.resumed = r.resumed;
   m.engine = r.engine;

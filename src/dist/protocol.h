@@ -4,7 +4,7 @@
 #include <string>
 
 #include "dist/frame.h"
-#include "serve/job.h"
+#include "serve/lifecycle.h"
 
 namespace repro {
 
@@ -29,18 +29,6 @@ enum DistFrameTag : std::uint32_t {
   kFrameCheckpoint = 5, ///< worker -> coordinator, stage-boundary snapshot
   kFrameResult = 6,     ///< worker -> coordinator, attempt outcome
   kFrameShutdown = 7,   ///< coordinator -> worker, exit cleanly
-};
-
-/// How one job attempt ended on the worker — the same classification
-/// Scheduler::run_one derives from exception types, made explicit so the
-/// coordinator applies the identical retry/quarantine policy to remote
-/// attempts and the result log stays byte-identical to the in-process run.
-enum class AttemptOutcome : std::uint8_t {
-  kDone = 0,      ///< completed; payload carries final metrics
-  kDeadline = 1,  ///< FlowCancelled, stage deadline -> TIMED_OUT, no retry
-  kKilled = 2,    ///< FlowCancelled, cooperative kill -> CHECKPOINTED
-  kAudit = 3,     ///< AuditError -> quarantined, no retry
-  kError = 4,     ///< any other exception -> retry while budget lasts
 };
 
 struct HelloMsg {
@@ -76,9 +64,10 @@ struct CheckpointMsg {
   std::string snapshot;    ///< serialize_snapshot bytes
 };
 
-/// Everything the coordinator needs to finish a JobResult except the spec
-/// (it keeps its own copy) and the scheduling fields it owns (state,
-/// error_code, attempts, queue/run seconds).
+/// One attempt's result as the worker's classify() left it (the outcome
+/// enum lives in serve/lifecycle.h; its u8 value is the wire encoding),
+/// minus the spec the coordinator keeps and the fields the lifecycle owns
+/// (state, error_code, attempts, queue/run seconds).
 struct ResultMsg {
   std::uint32_t job_index = 0;
   std::uint32_t attempt = 1;
@@ -124,16 +113,13 @@ CheckpointMsg decode_checkpoint(const std::string& payload);
 std::string encode_result(const ResultMsg& m);
 ResultMsg decode_result(const std::string& payload);
 
-/// Copies a ResultMsg's payload into a JobResult the way a local retry loop
-/// would: audit_checks accumulates across attempts (matching the in-process
-/// `out.audit_checks +=` on a shared result slot), the error string is only
-/// overwritten when the attempt actually produced one, everything else is
-/// last-writer-wins.
+/// Copies a ResultMsg's payload into the attempt's JobResult, replacing
+/// every field it carries; JobLifecycle::settle then folds the attempt into
+/// the job's result exactly as it does a local attempt.
 void apply_result_payload(const ResultMsg& m, JobResult& r);
 
 /// Fills a ResultMsg from a completed/failed attempt's JobResult.
 ResultMsg result_msg_from(const JobResult& r, std::uint32_t job_index,
-                          std::uint32_t attempt, AttemptOutcome outcome,
-                          const std::string& error);
+                          std::uint32_t attempt, AttemptOutcome outcome);
 
 }  // namespace repro

@@ -8,10 +8,8 @@
 #include <mutex>
 #include <thread>
 
-#include "audit/auditor.h"
 #include "dist/protocol.h"
 #include "serve/snapshot.h"
-#include "util/cancel.h"
 #include "util/log.h"
 
 namespace repro {
@@ -119,48 +117,25 @@ class Session {
   void handle_assign(const AssignMsg& am) {
     ++stats_.jobs_run;
     JobResult out;
-    out.spec = am.spec;
-    FlowSnapshot loaded;
-    bool have_loaded = false;
-    if (!am.snapshot.empty()) {
-      try {
-        loaded = parse_snapshot(am.snapshot);
-        have_loaded = true;
-      } catch (const SnapshotError& e) {
-        // Same contract as the file-based path: an unreadable checkpoint
-        // means a fresh run, never a dead job.
-        LOG_WARN() << "worker: job " << am.spec.id
-                   << ": ignoring unreadable streamed checkpoint: " << e.what();
-      }
-    }
     FlowAttemptRequest req;
-    req.spec = &out.spec;
+    req.spec = &am.spec;
     req.attempt = static_cast<int>(am.attempt);
-    req.resume = have_loaded ? &loaded : nullptr;
+    req.resume = am.snapshot;
     req.kill_flag = stop_;
     req.on_checkpoint = [this, &am](const FlowSnapshot& snap) {
       stream_checkpoint(am.job_index, snap);
     };
 
     AttemptOutcome outcome = AttemptOutcome::kDone;
-    std::string error;
     try {
       run_flow_attempt(opt_.service, req, out);
-    } catch (const FlowCancelled& e) {
-      outcome = e.killed() ? AttemptOutcome::kKilled : AttemptOutcome::kDeadline;
-      error = e.what();
-    } catch (const AuditError& e) {
-      outcome = AttemptOutcome::kAudit;
-      error = e.what();
-    } catch (const std::exception& e) {
-      outcome = AttemptOutcome::kError;
-      error = e.what();
+    } catch (const std::exception&) {
+      outcome = classify(std::current_exception(), out);
     }
     // ConnLost / KillInjected unwind past here: there is nobody to report to
     // (or we are dying); the coordinator reassigns from the last checkpoint.
     send_frame(kFrameResult, encode_result(result_msg_from(
-                                 out, am.job_index, am.attempt, outcome,
-                                 error)));
+                                 out, am.job_index, am.attempt, outcome)));
   }
 
   void stream_checkpoint(std::uint32_t job_index, const FlowSnapshot& snap) {

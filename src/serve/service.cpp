@@ -5,25 +5,19 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
+#include <future>
 #include <thread>
 
 #include "gen/circuit_gen.h"
 #include "replicate/engine.h"
 #include "serve/jsonl.h"
-#include "serve/wire.h"
 #include "util/cancel.h"
 #include "util/log.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace repro {
 namespace {
-
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
 
 bool variant_from_name(const std::string& name, EmbedVariant* out) {
   if (name == "rt") *out = EmbedVariant::kRtEmbedding;
@@ -76,22 +70,6 @@ std::string validate_job_spec(const JobSpec& spec) {
   return "";
 }
 
-std::vector<std::string> validate_batch(const std::vector<JobSpec>& specs) {
-  std::vector<std::string> errors(specs.size());
-  std::vector<const std::string*> seen_ids;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    errors[i] = validate_job_spec(specs[i]);
-    if (!errors[i].empty()) continue;
-    for (const std::string* id : seen_ids)
-      if (*id == specs[i].id) {
-        errors[i] = "duplicate job id '" + specs[i].id + "'";
-        break;
-      }
-    if (errors[i].empty()) seen_ids.push_back(&specs[i].id);
-  }
-  return errors;
-}
-
 namespace {
 
 void maybe_inject(const JobSpec& spec, const char* stage,
@@ -131,45 +109,18 @@ EngineSummary summarize(const EngineResult& r) {
 
 }  // namespace
 
-std::string ServiceStats::summary() const {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "jobs: %llu done, %llu failed (%llu quarantined), %llu timed "
-                "out, %llu interrupted, %llu invalid | %llu retries, %llu "
-                "resumed | %llu checkpoints (%llu bytes) | queue latency "
-                "total %.3fs max %.3fs",
-                static_cast<unsigned long long>(jobs_completed),
-                static_cast<unsigned long long>(jobs_failed),
-                static_cast<unsigned long long>(jobs_quarantined),
-                static_cast<unsigned long long>(jobs_timed_out),
-                static_cast<unsigned long long>(jobs_interrupted),
-                static_cast<unsigned long long>(jobs_invalid),
-                static_cast<unsigned long long>(jobs_retried),
-                static_cast<unsigned long long>(jobs_resumed),
-                static_cast<unsigned long long>(checkpoints_written),
-                static_cast<unsigned long long>(checkpoint_bytes),
-                queue_latency_seconds_total, queue_latency_seconds_max);
-  return buf;
-}
-
-FlowService::FlowService(const ServiceOptions& opt) : opt_(opt) {}
-
-std::string FlowService::checkpoint_path(const std::string& job_id) const {
-  return opt_.checkpoint_dir + "/" + job_id + ".ckpt";
-}
-
-void FlowService::write_checkpoint(const FlowSnapshot& snap) {
-  if (opt_.checkpoint_dir.empty()) return;
-  const std::string bytes_path = checkpoint_path(snap.job_id);
-  write_snapshot_file(snap, bytes_path);
-  checkpoint_bytes_.fetch_add(
-      std::filesystem::file_size(std::filesystem::path(bytes_path)),
-      std::memory_order_relaxed);
-  const std::uint64_t written =
-      checkpoints_written_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (opt_.stop_after_checkpoints > 0 &&
-      written >= static_cast<std::uint64_t>(opt_.stop_after_checkpoints))
-    scheduler_->request_shutdown();
+void record_boundary(const ServiceOptions& opt, const FlowSnapshot& snap,
+                     JobResult& out) {
+  out.completed_stage = snap.stage;
+  out.engine = snap.engine;
+  out.has_metrics = snap.has_metrics;
+  out.metrics = snap.metrics;
+  out.place_seconds = snap.place_seconds;
+  out.replicate_seconds = snap.replicate_seconds;
+  out.route_seconds = snap.has_metrics ? snap.metrics.route_seconds : 0;
+  if (opt.base.audit != AuditLevel::kOff)
+    out.audit_level = audit_level_name(opt.base.audit);
+  out.audit_checks = snap.audit_checks;
 }
 
 void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
@@ -191,14 +142,21 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     if (timeout > 0) token.set_deadline_after(timeout);
   };
 
-  // Fresh state or resumed checkpoint (a file the service read back, or a
-  // snapshot the coordinator streamed with the assignment).
+  // Fresh state or resumed checkpoint (a mirror read back from disk, or the
+  // latest boundary of an earlier attempt, possibly on another worker).
   FlowSnapshot snap;
   bool resumed = false;
-  if (req.resume) {
+  if (!req.resume.empty()) {
+    FlowSnapshot loaded;
+    try {
+      loaded = parse_snapshot(req.resume);
+    } catch (const SnapshotError& e) {
+      // An unreadable checkpoint means a fresh run, never a dead job.
+      LOG_WARN() << "job " << spec.id
+                 << ": ignoring unreadable checkpoint: " << e.what();
+    }
     // The checkpoint must describe the same work; a stale snapshot from a
     // previous batch with different parameters restarts from scratch.
-    FlowSnapshot& loaded = *req.resume;
     if (loaded.circuit == spec.circuit && loaded.variant == spec.variant &&
         loaded.cfg.placer == cfg.placer &&
         loaded.cfg.seed == spec.seed && loaded.cfg.scale == spec.scale &&
@@ -234,7 +192,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
   // current service audits nothing.
   snap.cfg.audit = cfg.audit;
   if (cfg.audit == AuditLevel::kOff) snap.audit_checks = 0;
-  out.audit_checks += snap.audit_checks;
+  record_boundary(opt, snap, out);
   // Pre-replication golden for the functional-equivalence check. Captured by
   // copy before the engine mutates the netlist; on resume it is regenerated
   // from the spec (generation is deterministic in (circuit, scale, seed)).
@@ -244,12 +202,6 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     const McncCircuit* c = find_circuit(spec.circuit);
     golden = std::make_unique<Netlist>(
         generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
-  };
-  auto record_audit_failure = [&](const AuditError& e) {
-    out.audit_stage = e.stage();
-    out.audit_findings = static_cast<int>(
-        e.report().count_at_least(AuditSeverity::kError));
-    out.audit_jsonl = e.report().to_jsonl_lines();
   };
   auto audit_after = [&](const std::string& stage, const Netlist* gold,
                          bool count = true) {
@@ -265,17 +217,11 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     // uninterrupted run never performs it, and the restored snap.audit_checks
     // already accounts for the completed stages.
     if (count) {
-      out.audit_checks += rep.checks_run;
       snap.audit_checks += rep.checks_run;
+      out.audit_checks = snap.audit_checks;
     }
-    if (!rep.clean()) {
-      AuditError err(stage, std::move(rep));
-      record_audit_failure(err);
-      throw err;
-    }
+    if (!rep.clean()) throw AuditError(stage, std::move(rep));
   };
-  if (cfg.audit != AuditLevel::kOff)
-    out.audit_level = audit_level_name(cfg.audit);
 
   // A resumed snapshot came from an untrusted file: re-audit the restored
   // state before building on it. Post-replication states are also checked
@@ -295,7 +241,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     make_token(token);
     maybe_inject(spec, "place", token);
     reset_peak_rss();
-    const double t0 = now_seconds();
+    const double t0 = steady_seconds();
     const McncCircuit* c = find_circuit(spec.circuit);
     snap.nl = std::make_unique<Netlist>(
         generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
@@ -314,22 +260,16 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     // still covers the final placement for every backend.
     popt.audit = cfg.audit;
     popt.audit_seed = cfg.seed;
-    try {
-      snap.pl = std::make_unique<Placement>(
-          place_circuit(*snap.nl, *snap.grid, cfg.delay, popt));
-    } catch (const AuditError& e) {
-      record_audit_failure(e);
-      throw;
-    }
+    snap.pl = std::make_unique<Placement>(
+        place_circuit(*snap.nl, *snap.grid, cfg.delay, popt));
     snap.rng_state = rng.state();
-    snap.place_seconds = now_seconds() - t0;
+    snap.place_seconds = steady_seconds() - t0;
     out.place_peak_rss_bytes = peak_rss_bytes();
     snap.stage = FlowStage::kPlaced;
     audit_after("place", nullptr);
+    record_boundary(opt, snap, out);
     if (req.on_checkpoint) req.on_checkpoint(snap);
   }
-  out.place_seconds = snap.place_seconds;
-  out.completed_stage = snap.stage;
 
   // ---- stage: replicate ---------------------------------------------------
   if (snap.stage < FlowStage::kReplicated) {
@@ -337,7 +277,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     make_token(token);
     maybe_inject(spec, "replicate", token);
     reset_peak_rss();
-    const double t0 = now_seconds();
+    const double t0 = steady_seconds();
     if (spec.variant != "none") {
       if (cfg.audit != AuditLevel::kOff)
         golden = std::make_unique<Netlist>(*snap.nl);
@@ -356,15 +296,13 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
                                  snap.pl->check_legal());
     }
     snap.rng_state = rng.state();
-    snap.replicate_seconds = now_seconds() - t0;
+    snap.replicate_seconds = steady_seconds() - t0;
     out.replicate_peak_rss_bytes = peak_rss_bytes();
     snap.stage = FlowStage::kReplicated;
     audit_after("replicate", golden.get());
+    record_boundary(opt, snap, out);
     if (req.on_checkpoint) req.on_checkpoint(snap);
   }
-  out.replicate_seconds = snap.replicate_seconds;
-  out.engine = snap.engine;
-  out.completed_stage = snap.stage;
 
   // ---- stage: route -------------------------------------------------------
   if (snap.stage < FlowStage::kRouted) {
@@ -375,14 +313,9 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     if (spec.route) {
       FlowConfig rcfg = cfg;
       rcfg.router.cancel = &token;
-      try {
-        // evaluate_routed runs the route-occupancy audits itself (it owns
-        // the RoutingResult); surface a failure's findings like ours.
-        snap.metrics = evaluate_routed(spec.circuit, *snap.nl, *snap.pl, rcfg);
-      } catch (const AuditError& e) {
-        record_audit_failure(e);
-        throw;
-      }
+      // evaluate_routed runs the route-occupancy audits itself (it owns
+      // the RoutingResult).
+      snap.metrics = evaluate_routed(spec.circuit, *snap.nl, *snap.pl, rcfg);
       // Replication-stage observability piggybacks on the metrics record:
       // truncated embeddings must be visible in result lines, not just logs.
       snap.metrics.embed_region_truncations = snap.engine.region_truncations;
@@ -391,150 +324,28 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     snap.rng_state = rng.state();
     out.route_peak_rss_bytes = peak_rss_bytes();
     snap.stage = FlowStage::kRouted;
+    record_boundary(opt, snap, out);
     if (req.on_checkpoint) req.on_checkpoint(snap);
   }
   out.arena_bytes = arena_counters().total_bytes();
-  out.has_metrics = snap.has_metrics;
-  out.metrics = snap.metrics;
-  out.route_seconds = snap.has_metrics ? snap.metrics.route_seconds : 0;
-  out.completed_stage = snap.stage;
-}
-
-void FlowService::run_job_attempt(const JobSpec& spec, int attempt,
-                                  JobResult& out) {
-  // On a retry after a failure (attempt > 1) the attempt starts again from
-  // the last stage-boundary checkpoint on disk.
-  FlowSnapshot loaded;
-  bool have_loaded = false;
-  const std::string ckpt = opt_.checkpoint_dir.empty()
-                               ? std::string()
-                               : checkpoint_path(spec.id);
-  const bool try_resume =
-      (opt_.resume || attempt > 1) && !ckpt.empty() &&
-      std::filesystem::exists(std::filesystem::path(ckpt));
-  if (try_resume) {
-    try {
-      loaded = read_snapshot_file(ckpt);
-      have_loaded = true;
-    } catch (const SnapshotError& e) {
-      LOG_WARN() << "job " << spec.id << ": ignoring unreadable checkpoint: "
-                 << e.what();
-    }
-  }
-  FlowAttemptRequest req;
-  req.spec = &spec;
-  req.attempt = attempt;
-  req.resume = have_loaded ? &loaded : nullptr;
-  req.on_checkpoint = [this](const FlowSnapshot& s) { write_checkpoint(s); };
-  req.kill_flag = scheduler_->kill_flag();
-  run_flow_attempt(opt_, req, out);
-  if (out.resumed && attempt == 1)
-    jobs_resumed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<JobResult> FlowService::run_batch(
     const std::vector<JobSpec>& specs) {
-  if (!opt_.checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(opt_.checkpoint_dir), ec);
-    if (ec)
-      throw std::runtime_error("cannot create checkpoint dir " +
-                               opt_.checkpoint_dir + ": " + ec.message());
-  }
-
-  SchedulerOptions sopt;
-  sopt.threads = opt_.threads;
-  sopt.max_retries = opt_.max_retries;
-  sopt.retry_backoff_seconds = opt_.retry_backoff_seconds;
-  {
-    std::lock_guard<std::mutex> lock(scheduler_mu_);
-    scheduler_ = std::make_unique<Scheduler>(sopt);
-    // A shutdown requested before (or between) batches sticks: the fresh
-    // scheduler starts with its kill flag already raised, so jobs submitted
-    // below unwind at their first cancellation point.
-    if (shutdown_requested_.load(std::memory_order_relaxed))
-      scheduler_->request_shutdown();
-  }
-
-  std::vector<JobResult> results(specs.size());
-  std::vector<std::function<void(int attempt)>> fns;
-  std::vector<std::uint64_t> backoff_seeds;
-  std::vector<std::size_t> scheduled;  // fns[k] runs specs[scheduled[k]]
-  const std::vector<std::string> errors = validate_batch(specs);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    results[i].spec = specs[i];
-    if (!errors[i].empty()) {
-      results[i].state = JobState::kFailed;
-      results[i].error_code = kJobInvalidSpec;
-      results[i].error = errors[i];
-      jobs_invalid_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    JobResult* slot = &results[i];
-    const JobSpec* spec = &specs[i];
-    scheduled.push_back(i);
-    // Retry backoff jitter is seeded from the job id so simultaneous
-    // retries of different jobs spread out deterministically.
-    backoff_seeds.push_back(fnv1a64(specs[i].id));
-    fns.push_back([this, spec, slot](int attempt) {
-      run_job_attempt(*spec, attempt, *slot);
-    });
-  }
-
-  const std::vector<RunOutcome> outcomes =
-      scheduler_->run_all(fns, backoff_seeds);
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    JobResult& r = results[scheduled[k]];
-    const RunOutcome& o = outcomes[k];
-    r.state = o.state;
-    r.attempts = o.attempts;
-    r.error = o.error;
-    r.queue_seconds = o.queue_seconds;
-    r.run_seconds = o.run_seconds;
-    switch (o.state) {
-      case JobState::kDone: r.error_code = kJobOk; break;
-      case JobState::kTimedOut: r.error_code = kJobTimedOut; break;
-      case JobState::kCheckpointed: r.error_code = kJobInterrupted; break;
-      default:
-        r.error_code = o.audit_failed ? kJobAuditFailed : kJobFailed;
-        break;
-    }
-  }
-  return results;
+  ThreadPool pool(opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
+                                   : ThreadPool::hardware_threads());
+  JobLifecycle lifecycle(opt_, specs, counters_, shutdown_requested_);
+  std::vector<std::future<void>> running;
+  for (JobLifecycle::Job& j : lifecycle.jobs())
+    if (!j.finished)
+      running.push_back(
+          pool.submit([&lifecycle, &j] { lifecycle.run_attempts_locally(j); }));
+  for (auto& f : running) f.get();
+  return lifecycle.take_results();
 }
 
 void FlowService::request_shutdown() {
   shutdown_requested_.store(true, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(scheduler_mu_);
-  if (scheduler_) scheduler_->request_shutdown();
-}
-
-ServiceStats FlowService::stats() const {
-  ServiceStats s;
-  std::lock_guard<std::mutex> lock(scheduler_mu_);
-  if (scheduler_) {
-    const SchedulerStats& ss = scheduler_->stats();
-    s.jobs_completed = ss.jobs_completed.load(std::memory_order_relaxed);
-    s.jobs_failed = ss.jobs_failed.load(std::memory_order_relaxed);
-    s.jobs_timed_out = ss.jobs_timed_out.load(std::memory_order_relaxed);
-    s.jobs_interrupted = ss.jobs_interrupted.load(std::memory_order_relaxed);
-    s.jobs_quarantined = ss.jobs_quarantined.load(std::memory_order_relaxed);
-    s.jobs_retried = ss.retries.load(std::memory_order_relaxed);
-    s.queue_latency_seconds_total =
-        static_cast<double>(
-            ss.queue_latency_us_total.load(std::memory_order_relaxed)) /
-        1e6;
-    s.queue_latency_seconds_max =
-        static_cast<double>(
-            ss.queue_latency_us_max.load(std::memory_order_relaxed)) /
-        1e6;
-  }
-  s.jobs_invalid = jobs_invalid_.load(std::memory_order_relaxed);
-  s.jobs_resumed = jobs_resumed_.load(std::memory_order_relaxed);
-  s.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
-  s.checkpoint_bytes = checkpoint_bytes_.load(std::memory_order_relaxed);
-  return s;
 }
 
 ServiceOptions service_options_from_env(ServiceOptions base) {

@@ -3,14 +3,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "flow/experiment.h"
 #include "serve/job.h"
-#include "serve/scheduler.h"
+#include "serve/lifecycle.h"
 
 namespace repro {
 
@@ -41,50 +39,27 @@ struct ServiceOptions {
   /// JobSpec.
   FlowConfig base;
 
-  /// Test/CI hook simulating a crash: request service shutdown once this
-  /// many checkpoints have been written (0 = off). Running jobs unwind at
-  /// their next cancellation point and are reported CHECKPOINTED.
+  /// Test/CI hook simulating a crash: request service shutdown (as
+  /// request_shutdown does, in both executors) once this many checkpoints
+  /// have been written (0 = off). Running jobs unwind at their next
+  /// cancellation point and are reported CHECKPOINTED.
   int stop_after_checkpoints = 0;
-};
-
-/// Service-level counters (includes the scheduler's).
-struct ServiceStats {
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_timed_out = 0;
-  std::uint64_t jobs_interrupted = 0;
-  std::uint64_t jobs_quarantined = 0;  ///< failed a stage audit; not retried
-  std::uint64_t jobs_invalid = 0;
-  std::uint64_t jobs_retried = 0;  ///< retry attempts performed
-  std::uint64_t jobs_resumed = 0;  ///< jobs restarted from a checkpoint
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t checkpoint_bytes = 0;
-  double queue_latency_seconds_total = 0;
-  double queue_latency_seconds_max = 0;
-
-  std::string summary() const;  ///< one human-readable line
 };
 
 /// "" = valid, else the reason a spec is rejected before scheduling.
 std::string validate_job_spec(const JobSpec& spec);
 
-/// Batch-level validation: per-spec errors plus duplicate-id detection, in
-/// input order ("" = valid). Shared by the in-process service and the dist
-/// coordinator so both reject the same specs with the same messages — a
-/// prerequisite for byte-identical result logs.
-std::vector<std::string> validate_batch(const std::vector<JobSpec>& specs);
-
-/// One single-attempt execution request for run_flow_attempt. The attempt
-/// runner is deliberately free-standing: FlowService drives it with on-disk
-/// checkpoints, a dist worker drives it with a streamed-resume snapshot and
-/// a frame-sending checkpoint sink. Same code, same bits.
+/// One single-attempt execution request for run_flow_attempt. The job
+/// lifecycle runs it in-process, a dist worker runs it with a frame-sending
+/// checkpoint sink; both resume from the lifecycle's bytes. Same code, same
+/// bits.
 struct FlowAttemptRequest {
   const JobSpec* spec = nullptr;
   int attempt = 1;
-  /// Snapshot to resume from (consumed via move when it matches the spec);
-  /// nullptr = fresh run. A mismatched or under-placed snapshot is ignored
-  /// and the job restarts from scratch, exactly like the file-based path.
-  FlowSnapshot* resume = nullptr;
+  /// Serialized snapshot to resume from ("" = fresh run), read once before
+  /// the first stage. Unreadable, mismatched or under-placed bytes are
+  /// ignored (with a warning when unreadable) and the job starts afresh.
+  std::string_view resume;
   /// Called after every completed stage boundary with the serializable job
   /// state. May be empty. Exceptions from the sink propagate (a worker uses
   /// this for deterministic kill-at-stage fault injection).
@@ -94,11 +69,19 @@ struct FlowAttemptRequest {
 };
 
 /// Runs one job attempt end to end (place -> replicate -> route), filling
-/// `out` and throwing to report failure/cancellation exactly like the
-/// pre-extraction FlowService internals: FlowCancelled on deadline/kill,
-/// AuditError on invariant violations, std::runtime_error otherwise.
+/// `out` and throwing to report failure/cancellation: FlowCancelled on
+/// deadline/kill, AuditError on invariant violations, std::runtime_error
+/// otherwise (see classify in serve/lifecycle.h).
 void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
                       JobResult& out);
+
+/// Copies the job state a stage-boundary snapshot carries (stage, engine
+/// summary, metrics, stage seconds, audit level and check count) into an
+/// attempt's result. run_flow_attempt records every boundary this way
+/// before handing the snapshot to its checkpoint sink, so a remote attempt
+/// whose streamed checkpoint fails can be settled with the same result.
+void record_boundary(const ServiceOptions& opt, const FlowSnapshot& snap,
+                     JobResult& out);
 
 /// Batch server for place -> replicate -> route jobs.
 ///
@@ -110,7 +93,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
 /// remaining jobs complete.
 class FlowService {
  public:
-  explicit FlowService(const ServiceOptions& opt);
+  explicit FlowService(const ServiceOptions& opt) : opt_(opt) {}
 
   /// Runs all jobs; results are in input order. Does not throw on per-job
   /// errors (see JobResult::state / error_code). Throws on infrastructure
@@ -123,25 +106,13 @@ class FlowService {
   /// run_batch() calls — the request sticks and applies to the next batch.
   void request_shutdown();
 
-  ServiceStats stats() const;
+  /// Cumulative over every batch this service has run.
+  ServiceStats stats() const { return counters_.snapshot(); }
 
  private:
-  friend struct ServiceTestPeer;
-
-  void run_job_attempt(const JobSpec& spec, int attempt, JobResult& out);
-  std::string checkpoint_path(const std::string& job_id) const;
-  void write_checkpoint(const FlowSnapshot& snap);
-
   ServiceOptions opt_;
-  /// Guards scheduler_ (re)creation in run_batch against request_shutdown
-  /// and stats readers on other threads.
-  mutable std::mutex scheduler_mu_;
   std::atomic<bool> shutdown_requested_{false};
-  std::unique_ptr<Scheduler> scheduler_;
-  std::atomic<std::uint64_t> jobs_resumed_{0};
-  std::atomic<std::uint64_t> jobs_invalid_{0};
-  std::atomic<std::uint64_t> checkpoints_written_{0};
-  std::atomic<std::uint64_t> checkpoint_bytes_{0};
+  JobCounters counters_;
 };
 
 /// Service knobs from the environment, layered over `base`:

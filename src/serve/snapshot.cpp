@@ -426,8 +426,7 @@ FlowSnapshot parse_snapshot(std::string_view bytes) try {
   throw SnapshotError(std::string("snapshot: ") + e.what());
 }
 
-void write_snapshot_file(const FlowSnapshot& s, const std::string& path) {
-  const std::string bytes = serialize_snapshot(s);
+void write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) throw SnapshotError("snapshot: cannot open " + tmp + " for writing");
@@ -444,7 +443,7 @@ void write_snapshot_file(const FlowSnapshot& s, const std::string& path) {
   }
 }
 
-FlowSnapshot read_snapshot_file(const std::string& path) {
+std::string read_file_bytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) throw SnapshotError("snapshot: cannot open " + path);
   std::string bytes;
@@ -454,6 +453,11 @@ FlowSnapshot read_snapshot_file(const std::string& path) {
   const bool read_err = std::ferror(f) != 0;
   std::fclose(f);
   if (read_err) throw SnapshotError("snapshot: read error on " + path);
+  return bytes;
+}
+
+FlowSnapshot read_snapshot_file(const std::string& path) {
+  const std::string bytes = read_file_bytes(path);
   try {
     return parse_snapshot(bytes);
   } catch (const SnapshotError& e) {

@@ -121,8 +121,13 @@ CircuitMetrics wire_load_metrics(ByteReader& r);
 /// Parses a buffer produced by serialize_snapshot. Throws SnapshotError.
 FlowSnapshot parse_snapshot(std::string_view bytes);
 
-/// Atomic file write (temp file + rename) / read. Throw SnapshotError.
-void write_snapshot_file(const FlowSnapshot& s, const std::string& path);
+/// Atomic byte-level file write: a temp file beside `path`, flushed, then
+/// renamed over it; the temp file is removed on failure. Whole-file read.
+/// Both throw SnapshotError.
+void write_file_atomic(const std::string& path, std::string_view bytes);
+std::string read_file_bytes(const std::string& path);
+
+/// Reads and parses a snapshot file. Throws SnapshotError.
 FlowSnapshot read_snapshot_file(const std::string& path);
 
 }  // namespace repro

@@ -9,7 +9,7 @@ namespace repro {
 
 /// Thrown by CancelToken::check() when a stage deadline has passed or the
 /// owning service requested a shutdown. Long-running loops let it unwind to
-/// the job scheduler, which classifies the job TIMED_OUT (deadline) or
+/// the job lifecycle, which classifies the job TIMED_OUT (deadline) or
 /// CHECKPOINTED (kill flag; the last stage checkpoint is already on disk).
 class FlowCancelled : public std::runtime_error {
  public:

@@ -16,7 +16,7 @@
 #include "gen/circuit_gen.h"
 #include "route/router.h"
 #include "serve/jsonl.h"
-#include "serve/scheduler.h"
+#include "serve/lifecycle.h"
 #include "serve/service.h"
 
 namespace repro {
@@ -253,39 +253,49 @@ TEST(Auditor, CatchesDroppedRouteEdge) {
       << rep.to_jsonl_lines();
 }
 
-// ---- scheduler: audit failures are quarantined, never retried -------------
+// ---- lifecycle: audit failures are quarantined, never retried -------------
 
-TEST(Scheduler, AuditFailuresAreQuarantinedNotRetried) {
-  SchedulerOptions opt;
-  opt.threads = 1;
+TEST(JobLifecycle, AuditFailuresAreQuarantinedNotRetried) {
+  ServiceOptions opt;
   opt.max_retries = 5;
   opt.retry_backoff_seconds = 0;
-  Scheduler sched(opt);
-  int calls = 0;
-  auto outcomes = sched.run_all({
-      [&](int) {
-        ++calls;
-        AuditReport rep;
-        Finding f;
-        f.severity = AuditSeverity::kFatal;
-        f.stage = "replicate";
-        f.check = "sim.equivalence";
-        rep.add(f);
-        rep.checks_run = 1;
-        throw AuditError("replicate", std::move(rep));
-      },
-      [](int) {},  // healthy neighbor: the batch must survive
-  });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].state, JobState::kFailed);
-  EXPECT_TRUE(outcomes[0].audit_failed);
-  EXPECT_EQ(outcomes[0].attempts, 1);
-  EXPECT_EQ(calls, 1) << "deterministic audit failures must not be retried";
-  EXPECT_EQ(outcomes[1].state, JobState::kDone);
-  EXPECT_FALSE(outcomes[1].audit_failed);
-  EXPECT_EQ(sched.stats().jobs_quarantined.load(), 1u);
-  EXPECT_EQ(sched.stats().jobs_failed.load(), 1u);
-  EXPECT_EQ(sched.stats().retries.load(), 0u);
+  JobCounters counters;
+  std::atomic<bool> kill{false};
+  std::vector<JobSpec> specs(2);
+  specs[0].id = "poison";
+  specs[1].id = "healthy";  // the batch must survive its neighbor
+  JobLifecycle lc(opt, specs, counters, kill);
+
+  AuditReport rep;
+  Finding f;
+  f.severity = AuditSeverity::kFatal;
+  f.stage = "replicate";
+  f.check = "sim.equivalence";
+  rep.add(f);
+  rep.checks_run = 1;
+  JobResult attempt;
+  const AttemptOutcome outcome = classify(
+      std::make_exception_ptr(AuditError("replicate", std::move(rep))),
+      attempt);
+  EXPECT_EQ(outcome, AttemptOutcome::kAudit);
+  EXPECT_EQ(attempt.audit_stage, "replicate");
+  EXPECT_EQ(attempt.audit_findings, 1);
+  EXPECT_TRUE(lc.settle(lc.jobs()[0], outcome, std::move(attempt)))
+      << "deterministic audit failures must not be retried";
+  EXPECT_TRUE(lc.settle(lc.jobs()[1], AttemptOutcome::kDone, JobResult{}));
+
+  const std::vector<JobResult> res = lc.take_results();
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].state, JobState::kFailed);
+  EXPECT_EQ(res[0].error_code, kJobAuditFailed);
+  EXPECT_EQ(res[0].attempts, 1);
+  EXPECT_EQ(res[0].audit_stage, "replicate");
+  EXPECT_EQ(res[1].state, JobState::kDone);
+  EXPECT_EQ(res[1].error_code, kJobOk);
+  const ServiceStats stats = counters.snapshot();
+  EXPECT_EQ(stats.jobs_quarantined, 1u);
+  EXPECT_EQ(stats.jobs_failed, 1u);
+  EXPECT_EQ(stats.jobs_retried, 0u);
 }
 
 // ---- service: golden circuits clean at paranoid, results unperturbed ------

@@ -23,6 +23,7 @@
 #include "dist/protocol.h"
 #include "dist/worker.h"
 #include "serve/jsonl.h"
+#include "serve/lifecycle.h"
 #include "serve/service.h"
 #include "util/socket.h"
 
@@ -220,14 +221,34 @@ TEST(Protocol, DecodersRejectMalformedPayloads) {
   EXPECT_THROW(decode_heartbeat("abc"), FrameError);
 }
 
-// The coordinator must merge a remote attempt's payload into the shared
-// result slot exactly the way the in-process retry loop does: audit checks
-// accumulate across attempts and a failed attempt's error survives a later
-// successful attempt (its message is empty, so it must not overwrite).
+// The coordinator folds a remote attempt into the job's result exactly the
+// way the in-process attempt loop does: apply_result_payload fills the
+// attempt's own result, and JobLifecycle::settle replaces the job's payload
+// with it. Audit checks are the final attempt's, never a sum over attempts,
+// a failed attempt's error survives a later successful attempt (its
+// message is empty, so it must not overwrite), and a later failure's
+// message does replace an earlier one.
 TEST(Protocol, ApplyResultPayloadReplicatesSharedSlotSemantics) {
-  JobResult r;
-  r.error = "attempt 1: injected failure in route";
-  r.audit_checks = 5;
+  ServiceOptions opt;
+  opt.max_retries = 2;
+  opt.retry_backoff_seconds = 0;
+  JobCounters counters;
+  std::atomic<bool> kill{false};
+  std::vector<JobSpec> specs(2);
+  specs[0].id = "j";
+  specs[1].id = "k";
+  JobLifecycle lc(opt, specs, counters, kill);
+  JobLifecycle::Job& j = lc.jobs()[0];
+  JobLifecycle::Job& k = lc.jobs()[1];
+
+  ResultMsg failed;
+  failed.outcome = AttemptOutcome::kError;
+  failed.error = "attempt 1: injected failure in route";
+  failed.audit_checks = 5;
+  JobResult first;
+  apply_result_payload(failed, first);
+  EXPECT_EQ(first.audit_checks, 5);
+  EXPECT_FALSE(lc.settle(j, failed.outcome, std::move(first)));
 
   ResultMsg done;
   done.outcome = AttemptOutcome::kDone;
@@ -235,18 +256,31 @@ TEST(Protocol, ApplyResultPayloadReplicatesSharedSlotSemantics) {
   done.audit_checks = 7;
   done.has_metrics = true;
   done.metrics.wirelength = 42;
-  apply_result_payload(done, r);
+  JobResult second;
+  apply_result_payload(done, second);
+  EXPECT_TRUE(lc.settle(j, done.outcome, std::move(second)));
 
-  EXPECT_EQ(r.error, "attempt 1: injected failure in route");
-  EXPECT_EQ(r.audit_checks, 12);  // accumulated, not replaced
-  EXPECT_TRUE(r.has_metrics);
-  EXPECT_EQ(r.metrics.wirelength, 42);
+  // Job k fails twice, then completes: the second failure's message
+  // replaces the first, and the successful attempt keeps it.
+  ResultMsg again = failed;
+  again.error = "new failure";
+  for (const ResultMsg* m : {&failed, &again}) {
+    JobResult attempt;
+    apply_result_payload(*m, attempt);
+    EXPECT_FALSE(lc.settle(k, m->outcome, std::move(attempt)));
+  }
+  JobResult third;
+  apply_result_payload(done, third);
+  EXPECT_TRUE(lc.settle(k, done.outcome, std::move(third)));
 
-  ResultMsg failed;
-  failed.outcome = AttemptOutcome::kError;
-  failed.error = "new failure";
-  apply_result_payload(failed, r);
-  EXPECT_EQ(r.error, "new failure");  // real message does overwrite
+  const std::vector<JobResult> res = lc.take_results();
+  EXPECT_EQ(res[0].error, "attempt 1: injected failure in route");
+  EXPECT_EQ(res[0].audit_checks, 7);  // replaced, not accumulated
+  EXPECT_TRUE(res[0].has_metrics);
+  EXPECT_EQ(res[0].metrics.wirelength, 42);
+  EXPECT_EQ(res[0].attempts, 2);
+  EXPECT_EQ(res[1].error, "new failure");  // real message does overwrite
+  EXPECT_EQ(res[1].attempts, 3);
 }
 
 // ---- fault plan parsing ---------------------------------------------------
@@ -346,10 +380,11 @@ struct DistRun {
   std::vector<int> worker_rcs;
 };
 
-// Runs one batch through a coordinator on an ephemeral TCP port with the
-// requested in-process worker threads, then shuts everything down.
+// Runs `batches` copies of one batch through a coordinator on an ephemeral
+// TCP port with the requested in-process worker threads, then shuts
+// everything down. `results` holds the last batch's.
 DistRun run_dist(const ServiceOptions& sopt, const std::vector<JobSpec>& specs,
-                 const DistParams& p) {
+                 const DistParams& p, int batches = 1) {
   CoordinatorOptions copt;
   copt.service = sopt;
   std::string err;
@@ -377,7 +412,7 @@ DistRun run_dist(const ServiceOptions& sopt, const std::vector<JobSpec>& specs,
   }
 
   DistRun out;
-  out.results = coord.run_batch(specs);
+  for (int b = 0; b < batches; ++b) out.results = coord.run_batch(specs);
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
   coord.stop();
@@ -515,30 +550,34 @@ TEST(DistChaos, PoisonJobIsQuarantinedFromRemoteExecution) {
 }
 
 // Genuine job failures (not worker deaths) follow the FlowService retry
-// budget with the same jittered backoff and the same shared-result-slot
-// semantics; the final log lines must match the in-process scheduler's.
+// budget with the same jittered backoff and the same result folding; the
+// final log lines must match the in-process run's, with stage audits off
+// and on (audit_checks is the final attempt's in both modes).
 TEST(DistChaos, RetryBudgetAndFailureLogMatchInProcessScheduler) {
   std::vector<JobSpec> specs{chaos_batch()[0], chaos_batch()[2]};
   specs[0].id = "poison";
   specs[0].inject_fail_stage = "route";
 
-  ServiceOptions sopt;
-  sopt.threads = 1;
-  sopt.max_retries = 1;
-  sopt.retry_backoff_seconds = 0.01;
+  for (const AuditLevel audit : {AuditLevel::kOff, AuditLevel::kStage}) {
+    ServiceOptions sopt;
+    sopt.threads = 1;
+    sopt.max_retries = 1;
+    sopt.retry_backoff_seconds = 0.01;
+    sopt.base.audit = audit;
 
-  FlowService svc(sopt);
-  const auto golden = stable_lines(svc.run_batch(specs));
+    FlowService svc(sopt);
+    const auto golden = stable_lines(svc.run_batch(specs));
 
-  DistParams p;
-  p.workers.assign(2, FaultPlan{});
-  const DistRun run = run_dist(sopt, specs, p);
-  EXPECT_EQ(stable_lines(run.results), golden);
-  EXPECT_EQ(run.results[0].state, JobState::kFailed);
-  EXPECT_EQ(run.results[0].attempts, 2);
-  EXPECT_EQ(run.results[1].state, JobState::kDone);
-  EXPECT_EQ(run.stats.jobs_retried, svc.stats().jobs_retried);
-  EXPECT_EQ(run.stats.jobs_failed, svc.stats().jobs_failed);
+    DistParams p;
+    p.workers.assign(2, FaultPlan{});
+    const DistRun run = run_dist(sopt, specs, p);
+    EXPECT_EQ(stable_lines(run.results), golden) << audit_level_name(audit);
+    EXPECT_EQ(run.results[0].state, JobState::kFailed);
+    EXPECT_EQ(run.results[0].attempts, 2);
+    EXPECT_EQ(run.results[1].state, JobState::kDone);
+    EXPECT_EQ(run.stats.jobs_retried, svc.stats().jobs_retried);
+    EXPECT_EQ(run.stats.jobs_failed, svc.stats().jobs_failed);
+  }
 }
 
 // Invalid specs never reach a worker and report the same line either way.
@@ -590,6 +629,108 @@ TEST(DistService, ResumesSingleProcessCheckpointOnARemoteWorker) {
   EXPECT_EQ(run.stats.jobs_resumed, 1u);
   EXPECT_EQ(run.dist.jobs_completed_remote, 1u);
   EXPECT_EQ(format_result_line(run.results[0], true), chaos_golden()[0]);
+}
+
+// --crash-after-checkpoints stops a distributed batch mid-batch, like an
+// in-process one: every job is reported CHECKPOINTED, the streamed
+// checkpoint is mirrored to disk, and a --resume run lands on the
+// uninterrupted run's bytes.
+TEST(DistService, StopAfterCheckpointsInterruptsAndResumes) {
+  TempDir dir("stop_after");
+  DistParams p;
+  p.workers.assign(1, FaultPlan{});
+
+  ServiceOptions crash_opt;
+  crash_opt.threads = 1;
+  crash_opt.checkpoint_dir = dir.path;
+  crash_opt.stop_after_checkpoints = 1;
+  const DistRun crashed = run_dist(crash_opt, chaos_batch(), p);
+  for (const JobResult& r : crashed.results)
+    EXPECT_EQ(r.state, JobState::kCheckpointed) << r.spec.id;
+  EXPECT_GE(crashed.stats.checkpoints_written, 1u);
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/j1.ckpt"));
+
+  ServiceOptions resume_opt;
+  resume_opt.threads = 1;
+  resume_opt.checkpoint_dir = dir.path;
+  resume_opt.resume = true;
+  const DistRun resumed = run_dist(resume_opt, chaos_batch(), p);
+  EXPECT_EQ(stable_lines(resumed.results), chaos_golden());
+  EXPECT_EQ(resumed.stats.jobs_resumed, 1u);
+}
+
+// A checkpoint mirror that cannot be written (here its temp path is a
+// directory) fails that job alone, in both modes and with the same result
+// line; the other job finishes (regression: the coordinator threw out of
+// run_batch and returned no results at all).
+TEST(DistService, UnwritableCheckpointMirrorFailsOnlyThatJob) {
+  const std::vector<JobSpec> specs{chaos_batch()[0], chaos_batch()[2]};
+  for (const AuditLevel audit : {AuditLevel::kOff, AuditLevel::kStage}) {
+    for (const int retries : {0, 1}) {
+      const std::string what =
+          std::string(audit_level_name(audit)) + " retries=" +
+          std::to_string(retries);
+      TempDir dir("mirror_" + std::to_string(static_cast<int>(audit)) + "_" +
+                  std::to_string(retries));
+      std::filesystem::create_directories(dir.path + "/j1.ckpt.tmp");
+
+      ServiceOptions sopt;
+      sopt.threads = 1;
+      sopt.max_retries = retries;
+      sopt.retry_backoff_seconds = 0;
+      sopt.checkpoint_dir = dir.path;
+      sopt.base.audit = audit;
+      FlowService svc(sopt);
+      const auto local = svc.run_batch(specs);
+      ASSERT_EQ(local[0].state, JobState::kFailed) << what;
+      EXPECT_EQ(local[0].attempts, retries + 1) << what;
+      EXPECT_NE(local[0].error.find("cannot open"), std::string::npos)
+          << local[0].error;
+      EXPECT_EQ(local[1].state, JobState::kDone) << what;
+
+      DistParams p;
+      p.workers.assign(1, FaultPlan{});
+      const DistRun run = run_dist(sopt, specs, p);
+      ASSERT_EQ(run.results.size(), 2u) << what;
+      EXPECT_EQ(stable_lines(run.results), stable_lines(local)) << what;
+      EXPECT_EQ(run.results[0].attempts, retries + 1) << what;
+      EXPECT_EQ(run.results[1].state, JobState::kDone) << what;
+    }
+  }
+}
+
+// Both executors keep the same counters, cumulative over batches: two
+// batches of one good and one invalid job on a FlowService and on a
+// Coordinator give equal ServiceStats (queue latency aside, which is wall
+// time). Regression: FlowService's job counters covered the last batch only
+// while its checkpoint counters covered all of them.
+TEST(DistService, StatsAccumulateAcrossBatchesLikeFlowService) {
+  std::vector<JobSpec> specs{chaos_batch()[2], chaos_batch()[0]};
+  specs[1].id = "bogus";
+  specs[1].circuit = "nonesuch";
+
+  ServiceOptions sopt;
+  sopt.threads = 1;
+  FlowService svc(sopt);
+  for (int b = 0; b < 2; ++b) svc.run_batch(specs);
+  const ServiceStats local = svc.stats();
+  EXPECT_EQ(local.jobs_completed, 2u);
+  EXPECT_EQ(local.jobs_invalid, 2u);
+  EXPECT_EQ(local.checkpoints_written, 6u);  // 3 stage boundaries x 2 runs
+
+  DistParams p;
+  p.workers.assign(1, FaultPlan{});
+  const ServiceStats dist = run_dist(sopt, specs, p, /*batches=*/2).stats;
+  EXPECT_EQ(dist.jobs_completed, local.jobs_completed);
+  EXPECT_EQ(dist.jobs_failed, local.jobs_failed);
+  EXPECT_EQ(dist.jobs_timed_out, local.jobs_timed_out);
+  EXPECT_EQ(dist.jobs_interrupted, local.jobs_interrupted);
+  EXPECT_EQ(dist.jobs_quarantined, local.jobs_quarantined);
+  EXPECT_EQ(dist.jobs_invalid, local.jobs_invalid);
+  EXPECT_EQ(dist.jobs_retried, local.jobs_retried);
+  EXPECT_EQ(dist.jobs_resumed, local.jobs_resumed);
+  EXPECT_EQ(dist.checkpoints_written, local.checkpoints_written);
+  EXPECT_EQ(dist.checkpoint_bytes, local.checkpoint_bytes);
 }
 
 }  // namespace

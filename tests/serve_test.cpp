@@ -1,5 +1,5 @@
 // Flow service tests: snapshot format, checkpoint/resume determinism,
-// scheduler retry/timeout classification and batch robustness.
+// job lifecycle retry/timeout classification and batch robustness.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include "gen/circuit_gen.h"
 #include "place/annealer.h"
 #include "serve/jsonl.h"
-#include "serve/scheduler.h"
+#include "serve/lifecycle.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "util/cancel.h"
@@ -224,7 +224,7 @@ TEST(Snapshot, FileRoundTripAndCorruptedFileRejected) {
   TempDir dir("snapfile");
   FlowSnapshot s = make_placed_snapshot("tseng", 0.05, 7);
   const std::string path = dir.path + "/t.ckpt";
-  write_snapshot_file(s, path);
+  write_file_atomic(path, serialize_snapshot(s));
   FlowSnapshot loaded = read_snapshot_file(path);
   EXPECT_EQ(serialize_snapshot(loaded), serialize_snapshot(s));
 
@@ -348,75 +348,123 @@ TEST(Jsonl, ParseJobLineRejectsNonIntegralNumbers) {
       JsonlError);
 }
 
-// ---- scheduler ------------------------------------------------------------
+// ---- job lifecycle --------------------------------------------------------
 
-TEST(Scheduler, RetriesFailuresUpToBudget) {
-  SchedulerOptions opt;
-  opt.threads = 1;
+// `n` valid specs for lifecycle tests that settle attempts by hand (the
+// specs only need to pass validation; nothing runs them).
+std::vector<JobSpec> lifecycle_specs(int n) {
+  std::vector<JobSpec> specs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    specs[i].id = "job" + std::to_string(i);
+    specs[i].circuit = "tseng";
+  }
+  return specs;
+}
+
+JobResult failed_attempt(const char* error) {
+  JobResult attempt;
+  attempt.error = error;
+  return attempt;
+}
+
+TEST(JobLifecycle, RetriesFailuresUpToBudget) {
+  ServiceOptions opt;
   opt.max_retries = 2;
   opt.retry_backoff_seconds = 0;
-  Scheduler sched(opt);
-  int calls = 0;
-  auto outcomes = sched.run_all({[&](int attempt) {
-    ++calls;
-    if (attempt < 3) throw std::runtime_error("flaky");
-  }});
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].state, JobState::kDone);
-  EXPECT_EQ(outcomes[0].attempts, 3);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(sched.stats().retries.load(), 2u);
-  EXPECT_EQ(sched.stats().jobs_completed.load(), 1u);
+  JobCounters counters;
+  std::atomic<bool> kill{false};
+  const std::vector<JobSpec> specs = lifecycle_specs(1);
+  JobLifecycle lc(opt, specs, counters, kill);
+  JobLifecycle::Job& j = lc.jobs()[0];
+  EXPECT_FALSE(lc.settle(j, AttemptOutcome::kError, failed_attempt("flaky")));
+  EXPECT_FALSE(lc.settle(j, AttemptOutcome::kError, failed_attempt("flaky")));
+  EXPECT_TRUE(lc.settle(j, AttemptOutcome::kDone, JobResult{}));
+  const std::vector<JobResult> res = lc.take_results();
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].state, JobState::kDone);
+  EXPECT_EQ(res[0].attempts, 3);
+  EXPECT_EQ(counters.snapshot().jobs_retried, 2u);
+  EXPECT_EQ(counters.snapshot().jobs_completed, 1u);
 }
 
-TEST(Scheduler, FailsWhenBudgetExhaustedAndOthersComplete) {
-  SchedulerOptions opt;
-  opt.threads = 2;
+TEST(JobLifecycle, FailsWhenBudgetExhaustedAndOthersComplete) {
+  ServiceOptions opt;
   opt.max_retries = 1;
   opt.retry_backoff_seconds = 0;
-  Scheduler sched(opt);
-  auto outcomes = sched.run_all({
-      [](int) { throw std::runtime_error("always broken"); },
-      [](int) {},
-  });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].state, JobState::kFailed);
-  EXPECT_EQ(outcomes[0].attempts, 2);
-  EXPECT_EQ(outcomes[0].error, "always broken");
-  EXPECT_EQ(outcomes[1].state, JobState::kDone);
+  JobCounters counters;
+  std::atomic<bool> kill{false};
+  const std::vector<JobSpec> specs = lifecycle_specs(2);
+  JobLifecycle lc(opt, specs, counters, kill);
+  JobLifecycle::Job& broken = lc.jobs()[0];
+  EXPECT_FALSE(
+      lc.settle(broken, AttemptOutcome::kError, failed_attempt("always broken")));
+  EXPECT_TRUE(
+      lc.settle(broken, AttemptOutcome::kError, failed_attempt("always broken")));
+  EXPECT_TRUE(lc.settle(lc.jobs()[1], AttemptOutcome::kDone, JobResult{}));
+  EXPECT_EQ(lc.unfinished(), 0);
+  const std::vector<JobResult> res = lc.take_results();
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].state, JobState::kFailed);
+  EXPECT_EQ(res[0].error_code, kJobFailed);
+  EXPECT_EQ(res[0].attempts, 2);
+  EXPECT_EQ(res[0].error, "always broken");
+  EXPECT_EQ(res[1].state, JobState::kDone);
 }
 
-TEST(Scheduler, TimeoutsAreNotRetried) {
-  SchedulerOptions opt;
-  opt.threads = 1;
+TEST(JobLifecycle, TimeoutsAreNotRetried) {
+  ServiceOptions opt;
   opt.max_retries = 5;
-  Scheduler sched(opt);
-  int calls = 0;
-  auto outcomes = sched.run_all({[&](int) {
-    ++calls;
-    throw FlowCancelled("route", /*killed=*/false);
-  }});
-  EXPECT_EQ(outcomes[0].state, JobState::kTimedOut);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(sched.stats().jobs_timed_out.load(), 1u);
+  JobCounters counters;
+  std::atomic<bool> kill{false};
+  const std::vector<JobSpec> specs = lifecycle_specs(1);
+  JobLifecycle lc(opt, specs, counters, kill);
+  JobResult attempt;
+  const AttemptOutcome outcome = classify(
+      std::make_exception_ptr(FlowCancelled("route", /*killed=*/false)),
+      attempt);
+  EXPECT_EQ(outcome, AttemptOutcome::kDeadline);
+  EXPECT_TRUE(lc.settle(lc.jobs()[0], outcome, std::move(attempt)));
+  const std::vector<JobResult> res = lc.take_results();
+  EXPECT_EQ(res[0].state, JobState::kTimedOut);
+  EXPECT_EQ(res[0].error_code, kJobTimedOut);
+  EXPECT_EQ(res[0].attempts, 1);
+  EXPECT_EQ(counters.snapshot().jobs_timed_out, 1u);
 }
 
-TEST(Scheduler, KillFlagClassifiesAsCheckpointed) {
-  Scheduler sched({});
-  auto outcomes = sched.run_all({[&](int) {
-    sched.request_shutdown();
-    CancelToken token;
-    token.set_kill_flag(sched.kill_flag());
+TEST(JobLifecycle, KillFlagClassifiesAsCheckpointed) {
+  ServiceOptions opt;
+  opt.max_retries = 5;
+  JobCounters counters;
+  std::atomic<bool> kill{false};
+  const std::vector<JobSpec> specs = lifecycle_specs(2);
+  JobLifecycle lc(opt, specs, counters, kill);
+  kill.store(true);
+  CancelToken token;
+  token.set_kill_flag(&kill);
+  JobResult attempt;
+  AttemptOutcome outcome = AttemptOutcome::kDone;
+  try {
     token.check("replicate");
-  }});
-  EXPECT_EQ(outcomes[0].state, JobState::kCheckpointed);
+  } catch (...) {
+    outcome = classify(std::current_exception(), attempt);
+  }
+  EXPECT_EQ(outcome, AttemptOutcome::kKilled);
+  EXPECT_TRUE(lc.settle(lc.jobs()[0], outcome, std::move(attempt)));
+  // A failure during shutdown is final: no retry is scheduled.
+  EXPECT_TRUE(
+      lc.settle(lc.jobs()[1], AttemptOutcome::kError, failed_attempt("boom")));
+  const std::vector<JobResult> res = lc.take_results();
+  EXPECT_EQ(res[0].state, JobState::kCheckpointed);
+  EXPECT_EQ(res[0].error_code, kJobInterrupted);
+  EXPECT_EQ(res[1].state, JobState::kFailed);
+  EXPECT_EQ(counters.snapshot().jobs_retried, 0u);
 }
 
 // Retry backoff jitter is a pure function of (base, retry index, job seed):
 // the exact sequence is pinned so a refactor cannot silently change retry
 // timing, and the jittered value always stays inside the exponential
 // envelope [base * 2^(k-1) / 2, base * 2^(k-1)).
-TEST(Scheduler, RetryBackoffJitterSequenceIsPinned) {
+TEST(JobLifecycle, RetryBackoffJitterSequenceIsPinned) {
   EXPECT_DOUBLE_EQ(retry_backoff_with_jitter(1.0, 1, 42),
                    0.8707824393859116);
   EXPECT_DOUBLE_EQ(retry_backoff_with_jitter(1.0, 2, 42),
@@ -655,6 +703,32 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
     EXPECT_EQ(obj.at("state").str, job_state_name(r.state));
     EXPECT_EQ(static_cast<int>(obj.at("error_code").num), r.error_code);
   }
+}
+
+// A retried job reports what its final attempt did, not the sum of its
+// attempts: with stage audits on, the --stable line of a job that fails in
+// route is the same whatever the retry budget (regression: audit_checks
+// grew by one attempt's worth per retry).
+TEST(FlowService, RetriesDoNotMultiplyAuditChecks) {
+  JobSpec spec = small_job("tseng", 3, 1);
+  spec.inject_fail_stage = "route";
+  std::vector<std::string> lines;
+  for (const int retries : {0, 2}) {
+    TempDir dir("retry_audit_" + std::to_string(retries));
+    ServiceOptions opt;
+    opt.threads = 1;
+    opt.base.audit = AuditLevel::kStage;
+    opt.checkpoint_dir = dir.path;
+    opt.max_retries = retries;
+    opt.retry_backoff_seconds = 0;
+    FlowService svc(opt);
+    const auto res = svc.run_batch({spec});
+    ASSERT_EQ(res[0].state, JobState::kFailed);
+    EXPECT_EQ(res[0].attempts, retries + 1);
+    EXPECT_GT(res[0].audit_checks, 0);
+    lines.push_back(format_result_line(res[0], true));
+  }
+  EXPECT_EQ(lines[0], lines[1]);
 }
 
 TEST(FlowService, RejectsDuplicateJobIdsAndBadIds) {

@@ -461,7 +461,7 @@ int main(int argc, char** argv) {
     }
 
     // Signals must not call into the service (handlers can only touch the
-    // atomic); a watcher thread relays the flag to the batch scheduler so
+    // atomic); a watcher thread relays the flag to the batch executor so
     // in-flight jobs unwind at their next cancellation point.
     std::atomic<bool> watcher_done{false};
     std::thread watcher([&] {
