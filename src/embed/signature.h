@@ -85,13 +85,14 @@ struct Provenance {
   enum class Kind : std::uint8_t { kInitial, kAugment, kJoin };
   Kind kind = Kind::kInitial;
   /// kAugment: the vertex the label was propagated from, and the index of
-  /// the predecessor label in A[i][from].
+  /// the predecessor label in the node's working buffer.
   EmbedVertexId from;
   std::uint32_t pred_label = 0;
-  /// kJoin: per-child label index in A[child][j] (children in tree order).
-  /// Stored inline for <= 2 children, spilled otherwise.
+  /// kJoin: per-child label index in the embedder's trace of finished
+  /// labels (children in tree order). Stored inline for <= 2 children,
+  /// spilled otherwise.
   std::uint32_t child_labels_inline[2] = {0, 0};
-  std::int32_t spill_index = -1;  ///< index into the embedder's spill pool
+  std::int32_t spill_index = -1;  ///< offset into the working buffer's spill array
   std::uint8_t num_children = 0;
 };
 
@@ -110,8 +111,9 @@ struct Label {
   /// (the subtree root is AT the vertex), 0 for augmented ones.
   std::uint8_t branching = 0;
   /// Set when a later insertion dominated this label. Dominated labels stay
-  /// in place (indices are provenance-stable) but are skipped for expansion
-  /// and joins.
+  /// in place while their node is built (indices are provenance-stable) but
+  /// are skipped for expansion, and dropped when the node is finished unless
+  /// a live label's provenance still reaches them.
   std::uint8_t dead = 0;
   Provenance prov;
 };

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "embed/embedder.h"
 #include "embed/embedding_graph.h"
 #include "embed/fanin_tree.h"
+#include "util/thread_pool.h"
 
 namespace repro {
 namespace {
@@ -218,6 +221,19 @@ TEST(Embedder, LeafOutsideGraphFails) {
   EXPECT_FALSE(e.run());
 }
 
+TEST(Embedder, TooManyChildrenFails) {
+  // A join carries its child labels inline, up to kMaxLutInputs of them.
+  EmbeddingGraph g = EmbeddingGraph::make_grid({0, 0, 3, 3}, 1.0, 1.0);
+  FaninTree tree;
+  std::vector<TreeNodeId> kids;
+  for (int k = 0; k <= Netlist::kMaxLutInputs; ++k)
+    kids.push_back(tree.add_leaf("l" + std::to_string(k), {k % 4, k / 4}, 0.0, true));
+  tree.set_root(tree.add_gate("root", kids, 1.0), {3, 3});
+  FaninTreeEmbedder e(tree, g, nullptr, EmbedOptions{});
+  EXPECT_FALSE(e.run());
+  EXPECT_TRUE(e.tradeoff().empty());
+}
+
 TEST(Embedder, MaxLabelsStillFindsASolution) {
   EmbeddingGraph g = EmbeddingGraph::make_grid({0, 0, 6, 6}, 1.0, 1.0);
   FaninTree tree;
@@ -239,6 +255,44 @@ TEST(Embedder, MaxLabelsStillFindsASolution) {
   double fast_exact = exact.tradeoff()[exact.pick_fastest()].delay.primary();
   EXPECT_LE(fast_exact, fast_pruned + 1e-9);
   EXPECT_LE(fast_pruned, fast_exact * 1.5 + 1.0);
+}
+
+TEST(Embedder, LabelCapEvictionsAreCounted) {
+  // Two joins over a 9x9 grid with a placement-cost pattern: the Lex-3
+  // Pareto lists exceed 2 x 1 labels, so max_labels = 1 fires.
+  EmbeddingGraph g = EmbeddingGraph::make_grid({0, 0, 8, 8}, 1.0, 1.0);
+  FaninTree tree;
+  TreeNodeId a = tree.add_leaf("a", {0, 0}, 0.0, true);
+  TreeNodeId b = tree.add_leaf("b", {8, 0}, 2.0, true);
+  TreeNodeId c = tree.add_leaf("c", {0, 8}, 1.0, true);
+  TreeNodeId g1 = tree.add_gate("g1", {a, b}, 1.0);
+  TreeNodeId g2 = tree.add_gate("g2", {g1, c}, 1.0);
+  TreeNodeId root = tree.add_gate("root", {g2}, 1.0);
+  tree.set_root(root, {8, 8});
+  auto pcost = [&g](TreeNodeId, EmbedVertexId j) {
+    return 0.37 * ((g.point(j).x * 5 + g.point(j).y * 3) % 7);
+  };
+
+  FaninTreeEmbedder exact(tree, g, pcost, EmbedOptions{});
+  ASSERT_TRUE(exact.run());
+  EXPECT_EQ(exact.labels_evicted(), 0u);
+
+  EmbedOptions capped;
+  capped.lex_order = 3;
+  capped.max_labels = 1;
+  FaninTreeEmbedder serial(tree, g, pcost, capped);
+  ASSERT_TRUE(serial.run());
+  EXPECT_GT(serial.labels_evicted(), 0u);
+
+  // The pooled join counts its chunks' evictions into the same total.
+  ThreadPool pool(4);
+  EmbedOptions pooled = capped;
+  pooled.pool = &pool;
+  pooled.parallel_min_vertices = 1;
+  FaninTreeEmbedder parallel(tree, g, pcost, pooled);
+  ASSERT_TRUE(parallel.run());
+  EXPECT_EQ(parallel.labels_evicted(), serial.labels_evicted());
+  EXPECT_EQ(parallel.labels_created(), serial.labels_created());
 }
 
 // ---------------------------------------------------------------------------

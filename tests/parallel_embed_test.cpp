@@ -159,6 +159,62 @@ TEST(ParallelEmbedder, ScratchReuseAcrossRunsIsClean) {
   }
 }
 
+TEST(ParallelEmbedder, ScratchReusedAcrossSizesMatchesFreshEmbedder) {
+  // One scratch serves a big, a small, then a big run again, with different
+  // trees, graphs and lex orders. Every run must equal a scratch-less
+  // embedder bit for bit: stale pool offsets or live lists would show here.
+  DpFixture big;
+  FaninTree small_tree;
+  {
+    TreeNodeId a = small_tree.add_leaf("a", {0, 0}, 0.5, true);
+    TreeNodeId b = small_tree.add_leaf("b", {3, 1}, 0.0, true);
+    TreeNodeId g = small_tree.add_gate("g", {a, b}, 1.0);
+    small_tree.set_root(small_tree.add_gate("r", {g}, 1.0), {3, 3});
+  }
+  const EmbeddingGraph small_graph =
+      EmbeddingGraph::make_grid(Rect{0, 0, 3, 3}, 1.0, 1.0);
+
+  struct Run {
+    const FaninTree& tree;
+    const EmbeddingGraph& graph;
+    int lex_order;
+    int max_labels;
+  };
+  const Run runs[] = {{big.tree, big.graph, 3, 0},
+                      {small_tree, small_graph, 1, 0},
+                      {big.tree, big.graph, 2, 3}};
+  EmbedScratch scratch;
+  for (const Run& run : runs) {
+    SCOPED_TRACE(run.graph.num_vertices());
+    auto pc = [&](TreeNodeId i, EmbedVertexId j) {
+      return DpFixture::pcost(run.graph, i, j);
+    };
+    EmbedOptions eo;
+    eo.lex_order = run.lex_order;
+    eo.max_labels = run.max_labels;
+    FaninTreeEmbedder fresh(run.tree, run.graph, pc, eo);
+    ASSERT_TRUE(fresh.run());
+    FaninTreeEmbedder reused(run.tree, run.graph, pc, eo, &scratch);
+    ASSERT_TRUE(reused.run());
+
+    EXPECT_EQ(fresh.labels_created(), reused.labels_created());
+    EXPECT_EQ(fresh.labels_evicted(), reused.labels_evicted());
+    ASSERT_EQ(fresh.tradeoff().size(), reused.tradeoff().size());
+    for (std::size_t k = 0; k < fresh.tradeoff().size(); ++k) {
+      const RootSolution& x = fresh.tradeoff()[k];
+      const RootSolution& y = reused.tradeoff()[k];
+      EXPECT_EQ(x.vertex, y.vertex);
+      EXPECT_EQ(x.label_index, y.label_index);
+      EXPECT_EQ(x.cost, y.cost);
+      ASSERT_EQ(x.delay.n, y.delay.n);
+      for (int d = 0; d < x.delay.n; ++d) EXPECT_EQ(x.delay.v[d], y.delay.v[d]);
+      EXPECT_TRUE(fresh.extract(static_cast<int>(k)) ==
+                  reused.extract(static_cast<int>(k)))
+          << "tradeoff entry " << k;
+    }
+  }
+}
+
 // ---- engine trajectory determinism ------------------------------------------
 
 struct ParallelHarness {
