@@ -1,16 +1,15 @@
 // Microbenchmark: replication-engine wall clock vs thread count for the
-// parallel speculative embedding (docs/ALGORITHMS.md §11).
+// subtree-parallel embedder (docs/ALGORITHMS.md §11).
 //
 // For each circuit size the engine runs the SAME bounded optimization at
-// 1/2/4/8 threads; the final critical paths are cross-checked bitwise (the
-// trajectory is thread-count-invariant by design, so any divergence is a
-// bug, not noise). Emits BENCH_parallel_embed.json in the working directory.
+// 1/2/4 threads. The final critical path (bitwise), the iteration count and
+// the replicated/unified totals are cross-checked against the 1-thread run:
+// the trajectory is thread-count-invariant by design, so any divergence is a
+// bug, not noise. Emits BENCH_parallel_embed.json in the working directory.
 //
-// Scaling caveat: wall-clock speedup obviously requires hardware parallelism.
-// The JSON records hardware_threads so a single-core container run (speedup
-// ~1x, all parallelism serialized onto one CPU) is distinguishable from a
-// real multi-core measurement; speculation hit rates are reported either way
-// since they are scheduling-independent.
+// Scaling caveat: wall-clock speedup requires hardware parallelism. The JSON
+// records hardware_threads so a run on fewer cores than threads is
+// recognizable.
 
 #include <chrono>
 #include <cstdio>
@@ -63,10 +62,14 @@ struct ThreadResult {
   double seconds = 0;
   double speedup = 0;
   double final_critical = 0;
-  std::uint64_t launched = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t discarded = 0;
   std::size_t iterations = 0;
+  int replicated = 0;
+  int unified = 0;
+
+  bool same_trajectory(const ThreadResult& o) const {
+    return final_critical == o.final_critical && iterations == o.iterations &&
+           replicated == o.replicated && unified == o.unified;
+  }
 };
 
 struct SizeResult {
@@ -83,7 +86,7 @@ int main() {
   std::printf("hardware threads: %u\n", hw);
 
   const int sizes[] = {200, 800, 3200};
-  const int threads_list[] = {1, 2, 4, 8};
+  const int threads_list[] = {1, 2, 4};
   std::vector<SizeResult> results;
 
   for (int num_logic : sizes) {
@@ -104,31 +107,30 @@ int main() {
       tr.threads = threads;
       tr.seconds = now_seconds() - t0;
       tr.final_critical = r.final_critical;
-      tr.launched = r.speculations_launched;
-      tr.hits = r.speculation_hits;
-      tr.discarded = r.speculations_discarded;
       tr.iterations = r.history.size();
+      tr.replicated = r.total_replicated;
+      tr.unified = r.total_unified;
       sr.per_thread.push_back(tr);
 
-      // Determinism cross-check: bitwise-equal final critical path at every
-      // thread count.
-      if (tr.final_critical != sr.per_thread.front().final_critical) {
-        std::fprintf(stderr, "DETERMINISM VIOLATION n=%d threads=%d: %a vs %a\n",
-                     num_logic, threads, tr.final_critical,
-                     sr.per_thread.front().final_critical);
+      // Determinism cross-check against the 1-thread run.
+      const ThreadResult& serial = sr.per_thread.front();
+      if (!tr.same_trajectory(serial)) {
+        std::fprintf(stderr,
+                     "DETERMINISM VIOLATION n=%d threads=%d: crit %a vs %a, "
+                     "iters %zu vs %zu, replicated %d vs %d, unified %d vs %d\n",
+                     num_logic, threads, tr.final_critical, serial.final_critical,
+                     tr.iterations, serial.iterations, tr.replicated,
+                     serial.replicated, tr.unified, serial.unified);
         return 1;
       }
     }
     for (ThreadResult& tr : sr.per_thread)
       tr.speedup = sr.per_thread.front().seconds / tr.seconds;
     for (const ThreadResult& tr : sr.per_thread)
-      std::printf(
-          "n=%5d t=%d  %7.2fs  (%.2fx)  crit=%a  spec launched=%llu hits=%llu "
-          "discarded=%llu  iters=%zu\n",
-          sr.num_logic, tr.threads, tr.seconds, tr.speedup, tr.final_critical,
-          static_cast<unsigned long long>(tr.launched),
-          static_cast<unsigned long long>(tr.hits),
-          static_cast<unsigned long long>(tr.discarded), tr.iterations);
+      std::printf("n=%5d t=%d  %7.2fs  (%.2fx)  crit=%a  iters=%zu  replicated=%d "
+                  "unified=%d\n",
+                  sr.num_logic, tr.threads, tr.seconds, tr.speedup, tr.final_critical,
+                  tr.iterations, tr.replicated, tr.unified);
     results.push_back(sr);
   }
 
@@ -143,9 +145,10 @@ int main() {
   std::fprintf(out,
                "  \"benchmark\": \"parallel_embed\",\n"
                "  \"hardware_threads\": %u,\n"
-               "  \"note\": \"trajectory is bit-identical across thread counts "
-               "by design; wall-clock speedup requires hardware_threads > 1 "
-               "(a 1-CPU container serializes all workers)\",\n"
+               "  \"note\": \"engine wall time at 1/2/4 threads; trajectory "
+               "(final critical path, iterations, replicated/unified) is "
+               "bit-identical across thread counts by design; speedup needs "
+               "hardware_threads >= threads\",\n"
                "  \"sizes\": [\n",
                hw);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -156,13 +159,10 @@ int main() {
       std::fprintf(out,
                    "      {\"threads\": %d, \"seconds\": %.3f, \"speedup\": "
                    "%.2f, \"final_critical\": %.6f,\n"
-                   "       \"speculations_launched\": %llu, "
-                   "\"speculation_hits\": %llu, \"speculations_discarded\": "
-                   "%llu, \"iterations\": %zu}%s\n",
+                   "       \"iterations\": %zu, \"replicated\": %d, "
+                   "\"unified\": %d}%s\n",
                    tr.threads, tr.seconds, tr.speedup, tr.final_critical,
-                   static_cast<unsigned long long>(tr.launched),
-                   static_cast<unsigned long long>(tr.hits),
-                   static_cast<unsigned long long>(tr.discarded), tr.iterations,
+                   tr.iterations, tr.replicated, tr.unified,
                    j + 1 < sr.per_thread.size() ? "," : "");
     }
     std::fprintf(out, "    ]}%s\n", i + 1 < results.size() ? "," : "");

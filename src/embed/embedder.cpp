@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <thread>
 
 #include "util/log.h"
 #include "util/stats.h"
@@ -80,17 +81,9 @@ FaninTreeEmbedder::FaninTreeEmbedder(const FaninTree& tree, const EmbeddingGraph
   assert(opt_.lex_order >= 1 && opt_.lex_order <= DelayVec::kCapacity);
   if (opt_.lex_mc) opt_.lex_order = 1;  // mc uses its own [t, tc] layout
   staircase_ = !opt_.overlap_avoidance && !opt_.stem_delay;
-  // Adopt previously grown buffers: clear() keeps their capacities, so a
-  // warmed-up scratch makes table setup allocation-free.
+  // Adopt previously grown buffers: run() clears them but keeps their
+  // capacities, so a warmed-up scratch makes table setup allocation-free.
   if (scratch_) s_ = std::move(*scratch_);
-  s_.trace.clear();
-  s_.spill.clear();
-  s_.pending.clear();
-  s_.rows.clear();
-  s_.joinable.clear();
-  s_.work.clear();
-  if (s_.live.size() < graph_.num_vertices()) s_.live.resize(graph_.num_vertices());
-  for (auto& l : s_.live) l.clear();
 }
 
 FaninTreeEmbedder::~FaninTreeEmbedder() {
@@ -100,18 +93,65 @@ FaninTreeEmbedder::~FaninTreeEmbedder() {
            b.at.capacity() * sizeof(EmbedVertexId) +
            b.spill.capacity() * sizeof(std::uint32_t);
   };
-  std::size_t bytes = s_.trace.capacity() * sizeof(EmbedScratch::Trace) +
-                      s_.joinable.capacity() * sizeof(EmbedScratch::JoinLabel) +
-                      s_.pending.capacity() * sizeof(EmbedScratch::Pending) +
-                      (s_.spill.capacity() + s_.rows.capacity() + s_.remap.capacity()) *
-                          sizeof(std::uint32_t) +
-                      s_.heap.capacity() * sizeof(EmbedScratch::QueueItem) +
-                      buffer_bytes(s_.work) +
-                      s_.live.capacity() * sizeof(s_.live[0]);
-  for (const auto& l : s_.live) bytes += l.capacity() * sizeof(EmbedScratch::LiveRef);
-  for (const auto& c : s_.chunks) bytes += buffer_bytes(c);
+  // Every thread's buffers: the counter is the scratch's whole footprint.
+  std::size_t bytes = s_.nodes.capacity() * sizeof(EmbedScratch::Node) +
+                      s_.children.capacity() * sizeof(std::uint32_t);
+  for (const auto& w : s_.workers) {
+    bytes += w->trace.capacity() * sizeof(EmbedScratch::Trace) +
+             (w->spill.capacity() + w->remap.capacity()) * sizeof(std::uint32_t) +
+             w->heap.capacity() * sizeof(EmbedScratch::QueueItem) +
+             buffer_bytes(w->work) + w->live.capacity() * sizeof(w->live[0]);
+    for (const auto& l : w->live) bytes += l.capacity() * sizeof(EmbedScratch::LiveRef);
+    for (const auto& c : w->chunks) bytes += buffer_bytes(c);
+  }
+  for (const auto& j : s_.joinables)
+    bytes += j->rows.capacity() * sizeof(std::uint32_t) +
+             j->labels.capacity() * sizeof(EmbedScratch::JoinLabel);
   arena_record_peak(arena_counters().embed_scratch_bytes, bytes);
   *scratch_ = std::move(s_);
+}
+
+EmbedScratch::Worker& FaninTreeEmbedder::acquire_worker() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (idle_workers_.empty()) {
+    s_.workers.push_back(std::make_unique<EmbedScratch::Worker>());
+    s_.workers.back()->live.resize(graph_.num_vertices());
+    return *s_.workers.back();
+  }
+  EmbedScratch::Worker* w = idle_workers_.back();
+  idle_workers_.pop_back();
+  return *w;
+}
+
+void FaninTreeEmbedder::release_worker(EmbedScratch::Worker& w) {
+  std::lock_guard<std::mutex> lk(mu_);
+  idle_workers_.push_back(&w);
+}
+
+EmbedScratch::Joinable& FaninTreeEmbedder::acquire_joinable(std::size_t labels) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (idle_joinables_.empty()) {
+    s_.joinables.push_back(std::make_unique<EmbedScratch::Joinable>());
+    return *s_.joinables.back();
+  }
+  // Best fit: the smallest idle store that already holds `labels`, else the
+  // largest (grown in place). Handing a leaf's few labels a store a big node
+  // grew would leave every store at the largest size it ever held.
+  auto fit = idle_joinables_.begin();
+  for (auto it = idle_joinables_.begin(); it != idle_joinables_.end(); ++it) {
+    const std::size_t cap = (*it)->labels.capacity();
+    const std::size_t best = (*fit)->labels.capacity();
+    const bool better = best >= labels ? cap >= labels && cap < best : cap > best;
+    if (better) fit = it;
+  }
+  EmbedScratch::Joinable* j = *fit;
+  idle_joinables_.erase(fit);
+  return *j;
+}
+
+void FaninTreeEmbedder::release_joinable(EmbedScratch::Joinable& j) {
+  std::lock_guard<std::mutex> lk(mu_);
+  idle_joinables_.push_back(&j);
 }
 
 bool FaninTreeEmbedder::dominates(const Label& a, const Label& b) const {
@@ -123,10 +163,10 @@ bool FaninTreeEmbedder::dominates(const Label& a, const Label& b) const {
 }
 
 template <class Make>
-bool FaninTreeEmbedder::insert_label(EmbedScratch::Buffer& buf, EmbedVertexId v,
-                                     double cost, const DelayVec& delay,
+bool FaninTreeEmbedder::insert_label(EmbedScratch::Worker& w, EmbedScratch::Buffer& buf,
+                                     EmbedVertexId v, double cost, const DelayVec& delay,
                                      Make&& make) {
-  std::vector<EmbedScratch::LiveRef>& live = s_.live[v.index()];
+  std::vector<EmbedScratch::LiveRef>& live = w.live[v.index()];
   const auto index = static_cast<std::uint32_t>(buf.labels.size());
   std::size_t pos = 0;
   if (staircase_) {
@@ -196,19 +236,19 @@ double FaninTreeEmbedder::augment_delay_delta(int stem_len,
   return opt_.stem_delay(stem_len + len) - opt_.stem_delay(stem_len);
 }
 
-void FaninTreeEmbedder::wavefront() {
+void FaninTreeEmbedder::wavefront(EmbedScratch::Worker& w) {
   // Generalized Dijkstra (Fig. 6, GenDijkstra): multi-source expansion of all
   // current labels of the node through the graph, keeping non-dominated
   // signatures per vertex. Items pop by (cost, lex delay); the handle
   // carries the primary delay so only full ties read the label.
   using QItem = EmbedScratch::QueueItem;
-  std::vector<Label>& labels = s_.work.labels;
+  std::vector<Label>& labels = w.work.labels;
   auto lower_priority = [&labels](const QItem& x, const QItem& y) {
     if (x.cost != y.cost) return x.cost > y.cost;
     if (x.primary != y.primary) return y.primary < x.primary;
     return labels[y.label].delay.lex_compare(labels[x.label].delay) < 0;
   };
-  std::vector<QItem>& pq = s_.heap;
+  std::vector<QItem>& pq = w.heap;
   pq.clear();
   auto push = [&](EmbedVertexId v, std::uint32_t li) {
     pq.push_back(QItem{labels[li].cost, labels[li].delay.primary(), v, li});
@@ -217,7 +257,7 @@ void FaninTreeEmbedder::wavefront() {
 
   // The node's join (or initial) labels were created in vertex order.
   for (std::uint32_t li = 0; li < labels.size(); ++li)
-    if (!labels[li].dead) push(s_.work.at[li], li);
+    if (!labels[li].dead) push(w.work.at[li], li);
 
   while (!pq.empty()) {
     std::pop_heap(pq.begin(), pq.end(), lower_priority);
@@ -252,25 +292,26 @@ void FaninTreeEmbedder::wavefront() {
         next.prov.pred_label = item.label;
         return next;
       };
-      if (insert_label(s_.work, e.to, cost, delay, make))
+      if (insert_label(w, w.work, e.to, cost, delay, make))
         push(e.to, static_cast<std::uint32_t>(labels.size() - 1));
     }
   }
 }
 
-void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo,
+void FaninTreeEmbedder::join_vertex_range(std::uint32_t k, std::size_t lo,
                                           std::size_t hi, JoinScratch& js,
+                                          EmbedScratch::Worker& w,
                                           EmbedScratch::Buffer& out) {
-  const FaninTreeNode& node = tree_.node(i);
+  const EmbedScratch::Node& n = s_.nodes[k];
+  const FaninTreeNode& node = tree_.node(n.id);
   const std::size_t num_children = node.children.size();
-  // The children are the top pending nodes, in order.
-  const std::size_t first_child = s_.pending.size() - num_children;
+  const std::uint32_t* kids = &s_.children[n.first_child];
 
   for (std::size_t jv = lo; jv < hi; ++jv) {
     EmbedVertexId j(static_cast<EmbedVertexId::value_type>(jv));
     // Forbidden locations (blocked slots, wrong resource type) are modeled
     // as placement costs >= kForbiddenCost: no gate may be created there.
-    const double pc = pcost_ ? pcost_(i, j) : 0.0;
+    const double pc = pcost_ ? pcost_(n.id, j) : 0.0;
     if (pcost_ && pc >= kForbiddenCost) continue;
 
     // Fold the children's label lists into partial joins, pruning dominated
@@ -280,15 +321,17 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo,
     partials.clear();
     partials.push_back(PartialJoin{});
     bool dead_end = false;
-    for (std::size_t c = first_child; c < s_.pending.size(); ++c) {
-      const EmbedScratch::Pending& child = s_.pending[c];
-      const std::uint32_t* range = row(c) + jv;
+    for (std::size_t c = 0; c < num_children; ++c) {
+      const EmbedScratch::Joinable& child = *s_.nodes[kids[c]].joinable;
+      const std::uint32_t first = child.rows[jv];
+      const std::uint32_t last = child.rows[jv + 1];
+      const EmbedScratch::JoinLabel* child_labels = child.labels.data();
       std::vector<PartialJoin>& next = js.next;
       next.clear();
       js.stair.clear();
       for (const PartialJoin& p : partials) {
-        for (std::uint32_t k = range[0]; k < range[1]; ++k) {
-          const EmbedScratch::JoinLabel& cl = s_.joinable[child.join_base + k];
+        for (std::uint32_t x = first; x < last; ++x) {
+          const EmbedScratch::JoinLabel& cl = child_labels[x];
           const double cost = p.cost + cl.cost;
           DelayVec delay;
           int mc_weight = 0;
@@ -333,7 +376,7 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo,
           np.sum_branch_bits = bits;
           np.num_children = static_cast<std::uint8_t>(p.num_children + 1);
           std::copy_n(p.child_labels, p.num_children, np.child_labels);
-          np.child_labels[p.num_children] = child.trace_base + k;
+          np.child_labels[p.num_children] = x;
         }
       }
       std::erase_if(next, [](const PartialJoin& q) { return q.dead != 0; });
@@ -356,7 +399,7 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo,
       } else {
         delay.shift(node.gate_delay);
       }
-      insert_label(out, j, cost, delay, [&] {
+      insert_label(w, out, j, cost, delay, [&] {
         Label l;
         l.cost = cost;
         l.delay = delay;
@@ -377,20 +420,17 @@ void FaninTreeEmbedder::join_vertex_range(TreeNodeId i, std::size_t lo,
   }
 }
 
-void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
-  const FaninTreeNode& node = tree_.node(i);
+void FaninTreeEmbedder::join_node(std::uint32_t k, EmbedScratch::Worker& w) {
+  const TreeNodeId id = s_.nodes[k].id;
+  const FaninTreeNode& node = tree_.node(id);
   assert(!node.is_leaf());
 
-  // Restrict the root to its fixed vertex unless relocation is enabled.
-  if (root_mode && !opt_.relocatable_root) {
-    EmbedVertexId only_vertex = graph_.vertex_at(node.fixed_loc);
-    if (!only_vertex.valid()) {
-      LOG_WARN() << "fanin tree root '" << node.name
-                 << "' lies outside the embedding graph";
-      return;
-    }
+  // Restrict the root to its fixed vertex unless relocation is enabled
+  // (index_tree checked that the vertex exists).
+  if (id == tree_.root() && !opt_.relocatable_root) {
+    const EmbedVertexId only_vertex = graph_.vertex_at(node.fixed_loc);
     JoinScratch js;
-    join_vertex_range(i, only_vertex.index(), only_vertex.index() + 1, js, s_.work);
+    join_vertex_range(k, only_vertex.index(), only_vertex.index() + 1, js, w, w.work);
     return;
   }
 
@@ -399,7 +439,7 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   if (!pool || pool->num_workers() == 0 ||
       nv < static_cast<std::size_t>(opt_.parallel_min_vertices)) {
     JoinScratch js;
-    join_vertex_range(i, 0, nv, js, s_.work);
+    join_vertex_range(k, 0, nv, js, w, w.work);
     return;
   }
 
@@ -411,154 +451,239 @@ void FaninTreeEmbedder::join_node(TreeNodeId i, bool root_mode) {
   const std::size_t grain =
       std::max<std::size_t>(16, nv / (4 * pool->num_threads()));
   const std::size_t nchunks = (nv + grain - 1) / grain;
-  if (s_.chunks.size() < nchunks) s_.chunks.resize(nchunks);
+  if (w.chunks.size() < nchunks) w.chunks.resize(nchunks);
   pool->parallel_for(nchunks, 1, [&](std::size_t c) {
     const std::size_t lo = c * grain;
     const std::size_t hi = std::min(nv, lo + grain);
-    s_.chunks[c].clear();
+    w.chunks[c].clear();
     JoinScratch js;
-    join_vertex_range(i, lo, hi, js, s_.chunks[c]);
+    join_vertex_range(k, lo, hi, js, w, w.chunks[c]);
   });
-  EmbedScratch::Buffer& w = s_.work;
+  EmbedScratch::Buffer& work = w.work;
   for (std::size_t c = 0; c < nchunks; ++c) {
-    EmbedScratch::Buffer& chunk = s_.chunks[c];
-    const auto label_base = static_cast<std::uint32_t>(w.labels.size());
-    const auto spill_base = static_cast<std::int32_t>(w.spill.size());
+    EmbedScratch::Buffer& chunk = w.chunks[c];
+    const auto label_base = static_cast<std::uint32_t>(work.labels.size());
+    const auto spill_base = static_cast<std::int32_t>(work.spill.size());
     for (Label& l : chunk.labels)
       if (l.prov.spill_index >= 0) l.prov.spill_index += spill_base;
     for (std::size_t jv = c * grain; jv < std::min(nv, (c + 1) * grain); ++jv)
-      for (EmbedScratch::LiveRef& e : s_.live[jv]) e.label += label_base;
-    w.labels.insert(w.labels.end(), chunk.labels.begin(), chunk.labels.end());
-    w.at.insert(w.at.end(), chunk.at.begin(), chunk.at.end());
-    w.spill.insert(w.spill.end(), chunk.spill.begin(), chunk.spill.end());
-    w.created += chunk.created;
-    w.evicted += chunk.evicted;
+      for (EmbedScratch::LiveRef& e : w.live[jv]) e.label += label_base;
+    work.labels.insert(work.labels.end(), chunk.labels.begin(), chunk.labels.end());
+    work.at.insert(work.at.end(), chunk.at.begin(), chunk.at.end());
+    work.spill.insert(work.spill.end(), chunk.spill.begin(), chunk.spill.end());
+    work.created += chunk.created;
+    work.evicted += chunk.evicted;
   }
 }
 
-void FaninTreeEmbedder::finish_node() {
-  EmbedScratch::Buffer& w = s_.work;
+void FaninTreeEmbedder::finish_node(std::uint32_t k, EmbedScratch::Worker& w) {
+  EmbedScratch::Buffer& b = w.work;
   const std::size_t nv = graph_.num_vertices();
-  const EmbedScratch::Pending seg{static_cast<std::uint32_t>(s_.trace.size()),
-                                  static_cast<std::uint32_t>(s_.joinable.size())};
-  s_.rows.resize(s_.rows.size() + nv + 1);
-  std::uint32_t* begin = &s_.rows[s_.rows.size() - nv - 1];
+  EmbedScratch::Node& n = s_.nodes[k];
+  n.worker = &w;
+  n.trace_begin = static_cast<std::uint32_t>(w.trace.size());
+  n.spill_begin = static_cast<std::uint32_t>(w.spill.size());
+  std::size_t num_live = 0;
+  for (std::size_t j = 0; j < nv; ++j) num_live += w.live[j].size();
+  EmbedScratch::Joinable& out = acquire_joinable(num_live);
+  n.joinable = &out;
+  out.rows.resize(nv + 1);
+  std::uint32_t* rows = out.rows.data();
 
   // Live labels, grouped by vertex in insertion (= index) order.
-  s_.remap.assign(w.labels.size(), kUnmapped);
-  begin[0] = 0;
+  w.remap.assign(b.labels.size(), kUnmapped);
+  rows[0] = 0;
   for (std::size_t j = 0; j < nv; ++j) {
-    std::vector<EmbedScratch::LiveRef>& live = s_.live[j];
+    std::vector<EmbedScratch::LiveRef>& live = w.live[j];
     if (staircase_)
       std::sort(live.begin(), live.end(),
                 [](const EmbedScratch::LiveRef& x, const EmbedScratch::LiveRef& y) {
                   return x.label < y.label;
                 });
-    begin[j + 1] = begin[j] + static_cast<std::uint32_t>(live.size());
-    for (std::size_t k = 0; k < live.size(); ++k)
-      s_.remap[live[k].label] = seg.trace_base + begin[j] + static_cast<std::uint32_t>(k);
+    rows[j + 1] = rows[j] + static_cast<std::uint32_t>(live.size());
+    for (std::size_t x = 0; x < live.size(); ++x)
+      w.remap[live[x].label] = rows[j] + static_cast<std::uint32_t>(x);
   }
-  const std::uint32_t live_end = seg.trace_base + begin[nv];
+  const std::uint32_t live_end = rows[nv];
   std::uint32_t kept = live_end;
 
   // Dead labels on a live label's augment chain follow the live ones.
   for (std::size_t j = 0; j < nv; ++j) {
-    for (const EmbedScratch::LiveRef& e : s_.live[j]) {
-      const Label* l = &w.labels[e.label];
+    for (const EmbedScratch::LiveRef& e : w.live[j]) {
+      const Label* l = &b.labels[e.label];
       while (l->prov.kind == Provenance::Kind::kAugment &&
-             s_.remap[l->prov.pred_label] == kUnmapped) {
-        s_.remap[l->prov.pred_label] = kept++;
-        l = &w.labels[l->prov.pred_label];
+             w.remap[l->prov.pred_label] == kUnmapped) {
+        w.remap[l->prov.pred_label] = kept++;
+        l = &b.labels[l->prov.pred_label];
       }
     }
   }
 
-  grow_to(s_.trace, kept);
-  grow_to(s_.joinable, seg.join_base + begin[nv]);
-  for (std::size_t k = 0; k < w.labels.size(); ++k) {
-    const std::uint32_t to = s_.remap[k];
+  grow_to(w.trace, n.trace_begin + kept);
+  grow_to(out.labels, live_end);
+  EmbedScratch::Trace* trace = &w.trace[n.trace_begin];
+  for (std::size_t x = 0; x < b.labels.size(); ++x) {
+    const std::uint32_t to = w.remap[x];
     if (to == kUnmapped) continue;
-    const Label& l = w.labels[k];
+    const Label& l = b.labels[x];
     if (to < live_end)
-      s_.joinable[seg.join_base + (to - seg.trace_base)] =
-          EmbedScratch::JoinLabel{l.cost, l.delay, l.mc_weight, l.branching};
-    EmbedScratch::Trace& t = s_.trace[to];
+      out.labels[to] = EmbedScratch::JoinLabel{l.cost, l.delay, l.mc_weight, l.branching};
+    EmbedScratch::Trace& t = trace[to];
     t.kind = l.prov.kind;
     t.num_children = l.prov.num_children;
     t.ref[0] = t.ref[1] = 0;
     if (l.prov.kind == Provenance::Kind::kAugment) {
       t.ref[0] = static_cast<std::uint32_t>(l.prov.from.index());
-      t.ref[1] = s_.remap[l.prov.pred_label];
+      t.ref[1] = w.remap[l.prov.pred_label];
     } else if (l.prov.spill_index >= 0) {
-      const auto* children = &w.spill[static_cast<std::size_t>(l.prov.spill_index)];
-      t.ref[0] = static_cast<std::uint32_t>(s_.spill.size());
-      s_.spill.insert(s_.spill.end(), children, children + l.prov.num_children);
+      const auto* children = &b.spill[static_cast<std::size_t>(l.prov.spill_index)];
+      t.ref[0] = static_cast<std::uint32_t>(w.spill.size()) - n.spill_begin;
+      w.spill.insert(w.spill.end(), children, children + l.prov.num_children);
     } else if (l.prov.kind == Provenance::Kind::kJoin) {
       std::copy_n(l.prov.child_labels_inline, l.prov.num_children, t.ref);
     }
   }
-  s_.pending.push_back(seg);
-  labels_created_ += w.created;
-  labels_evicted_ += w.evicted;
-  w.clear();
-  for (auto& l : s_.live) l.clear();
+  n.trace_size = kept;
+  n.created = b.created;
+  n.evicted = b.evicted;
+  b.clear();
+  for (std::size_t j = 0; j < nv; ++j) w.live[j].clear();
+}
+
+bool FaninTreeEmbedder::index_subtree(TreeNodeId i) {
+  const FaninTreeNode& node = tree_.node(i);
+  const std::size_t num_children = node.children.size();
+  const auto first = static_cast<std::uint32_t>(s_.children.size());
+  s_.children.resize(first + num_children);
+  std::uint32_t size = node.is_leaf() ? 0 : 1;
+  for (std::size_t c = 0; c < num_children; ++c) {
+    if (!index_subtree(node.children[c])) return false;
+    s_.children[first + c] = static_cast<std::uint32_t>(s_.nodes.size() - 1);
+    size += s_.nodes.back().size;
+  }
+  if (num_children > static_cast<std::size_t>(kMaxChildren)) {
+    LOG_WARN() << "fanin tree node '" << node.name << "' has " << num_children
+               << " children; the embedder joins at most " << kMaxChildren;
+    return false;
+  }
+  if (node.is_leaf() && !graph_.vertex_at(node.fixed_loc).valid()) {
+    LOG_WARN() << "fanin tree leaf '" << node.name
+               << "' lies outside the embedding graph";
+    return false;
+  }
+  EmbedScratch::Node n{};
+  n.id = i;
+  n.first_child = first;
+  n.size = size;
+  s_.nodes.push_back(n);
+  return true;
+}
+
+bool FaninTreeEmbedder::index_tree() {
+  s_.nodes.clear();
+  s_.children.clear();
+  if (!index_subtree(tree_.root())) return false;
+  const FaninTreeNode& root = tree_.node(tree_.root());
+  if (!root.is_leaf() && !opt_.relocatable_root &&
+      !graph_.vertex_at(root.fixed_loc).valid()) {
+    LOG_WARN() << "fanin tree root '" << root.name
+               << "' lies outside the embedding graph";
+    return false;
+  }
+  return true;
+}
+
+void FaninTreeEmbedder::solve(std::uint32_t k, EmbedScratch::Worker& w) {
+  const TreeNodeId id = s_.nodes[k].id;
+  const FaninTreeNode& node = tree_.node(id);
+  if (node.is_leaf()) {
+    Label l;
+    l.cost = 0;  // fixed terminals carry no placement cost (Section II)
+    if (opt_.lex_mc) {
+      l.delay = DelayVec::pair(node.leaf_arrival,
+                               node.is_real_input ? node.leaf_arrival : 0.0);
+      l.mc_weight = node.is_real_input ? 1 : 0;
+    } else {
+      l.delay = DelayVec::single(node.leaf_arrival);
+    }
+    l.branching = 1;
+    l.prov.kind = Provenance::Kind::kInitial;
+    insert_label(w, w.work, graph_.vertex_at(node.fixed_loc), l.cost, l.delay,
+                 [&] { return l; });
+  } else {
+    // A node's result depends only on its children's, so sibling subtrees
+    // are solved concurrently, largest first: the calling thread takes the
+    // heaviest child on its own worker, pool threads the side branches on
+    // workers of their own.
+    const std::size_t num_children = node.children.size();
+    std::uint32_t order[kMaxChildren];
+    std::copy_n(&s_.children[s_.nodes[k].first_child], num_children, order);
+    std::stable_sort(order, order + num_children, [&](std::uint32_t a, std::uint32_t b) {
+      return s_.nodes[a].size > s_.nodes[b].size;
+    });
+    if (opt_.pool) {
+      const std::thread::id caller = std::this_thread::get_id();
+      opt_.pool->parallel_for(num_children, 1, [&](std::size_t c) {
+        if (std::this_thread::get_id() == caller) return solve(order[c], w);
+        EmbedScratch::Worker& own = acquire_worker();
+        solve(order[c], own);
+        release_worker(own);
+      });
+    } else {
+      for (std::size_t c = 0; c < num_children; ++c) solve(order[c], w);
+    }
+    join_node(k, w);
+    for (std::size_t c = 0; c < num_children; ++c)
+      release_joinable(*s_.nodes[order[c]].joinable);
+  }
+  if (id != tree_.root()) wavefront(w);
+  finish_node(k, w);
 }
 
 bool FaninTreeEmbedder::run() {
-  ran_ = true;
-  // Bottom-up over the tree (ComputeSubTree). Finished nodes wait on the
-  // pending stack until their parent's join pops them; a subtree shared by
-  // two parents (hand-built DAG fixtures) is solved once per parent.
+  tradeoff_.clear();
+  labels_created_ = labels_evicted_ = 0;
+  if (!index_tree()) return false;
+  // Every worker starts the tree with empty buffers; capacities stay.
   const std::size_t nv = graph_.num_vertices();
-  for (TreeNodeId i : tree_.post_order()) {
-    const FaninTreeNode& node = tree_.node(i);
-    if (node.children.size() > static_cast<std::size_t>(kMaxChildren)) {
-      LOG_WARN() << "fanin tree node '" << node.name << "' has "
-                 << node.children.size() << " children; the embedder joins at most "
-                 << kMaxChildren;
-      return false;
-    }
-    const bool is_root = (i == tree_.root());
-    if (node.is_leaf()) {
-      EmbedVertexId v = graph_.vertex_at(node.fixed_loc);
-      if (!v.valid()) {
-        LOG_WARN() << "fanin tree leaf '" << node.name
-                   << "' lies outside the embedding graph";
-        return false;
-      }
-      Label l;
-      l.cost = 0;  // fixed terminals carry no placement cost (Section II)
-      if (opt_.lex_mc) {
-        l.delay = DelayVec::pair(node.leaf_arrival,
-                                 node.is_real_input ? node.leaf_arrival : 0.0);
-        l.mc_weight = node.is_real_input ? 1 : 0;
-      } else {
-        l.delay = DelayVec::single(node.leaf_arrival);
-      }
-      l.branching = 1;
-      l.prov.kind = Provenance::Kind::kInitial;
-      insert_label(s_.work, v, l.cost, l.delay, [&] { return l; });
-    } else {
-      join_node(i, is_root);
-      const std::size_t first_child = s_.pending.size() - node.children.size();
-      s_.joinable.resize(s_.pending[first_child].join_base);
-      s_.rows.resize(first_child * (nv + 1));
-      s_.pending.resize(first_child);
-    }
-    if (!is_root) wavefront();
-    finish_node();
+  idle_workers_.clear();
+  for (auto it = s_.workers.rbegin(); it != s_.workers.rend(); ++it) {
+    EmbedScratch::Worker& w = **it;
+    w.trace.clear();
+    w.spill.clear();
+    w.work.clear();
+    if (w.live.size() < nv) w.live.resize(nv);
+    for (auto& l : w.live) l.clear();
+    idle_workers_.push_back(&w);
+  }
+  idle_joinables_.clear();
+  for (auto it = s_.joinables.rbegin(); it != s_.joinables.rend(); ++it)
+    idle_joinables_.push_back(it->get());
+
+  // Bottom-up over the tree (ComputeSubTree).
+  const auto root = static_cast<std::uint32_t>(s_.nodes.size() - 1);
+  solve(root, acquire_worker());
+
+  // Post-order layout: an occurrence's finished labels follow those of every
+  // occurrence before it, whichever worker holds them. The root comes last,
+  // so its labels start after all the others; that offset makes the root
+  // solutions' label indices the serial embedder's.
+  root_base_ = 0;
+  for (const EmbedScratch::Node& n : s_.nodes) {
+    if (&n != &s_.nodes[root]) root_base_ += n.trace_size;
+    labels_created_ += n.created;
+    labels_evicted_ += n.evicted;
   }
 
   // Collect the root trade-off curve (AugmentRoot / final selection).
-  tradeoff_.clear();
-  const EmbedScratch::Pending& root = s_.pending.back();
-  const std::uint32_t* root_row = row(s_.pending.size() - 1);
+  const EmbedScratch::Node& r = s_.nodes[root];
+  const EmbedScratch::Joinable& joinable = *r.joinable;
   for (std::size_t jv = 0; jv < nv; ++jv) {
-    for (std::uint32_t k = root_row[jv]; k < root_row[jv + 1]; ++k) {
-      const EmbedScratch::JoinLabel& l = s_.joinable[root.join_base + k];
+    for (std::uint32_t x = joinable.rows[jv]; x < joinable.rows[jv + 1]; ++x) {
+      const EmbedScratch::JoinLabel& l = joinable.labels[x];
       tradeoff_.push_back(RootSolution{
-          EmbedVertexId(static_cast<EmbedVertexId::value_type>(jv)),
-          root.trace_base + k, l.cost, l.delay});
+          EmbedVertexId(static_cast<EmbedVertexId::value_type>(jv)), root_base_ + x,
+          l.cost, l.delay});
     }
   }
   std::sort(tradeoff_.begin(), tradeoff_.end(), [](const RootSolution& x,
@@ -592,32 +717,34 @@ TreeEmbedding FaninTreeEmbedder::extract(int tradeoff_index) const {
          tradeoff_index < static_cast<int>(tradeoff_.size()));
   const RootSolution& rs = tradeoff_[tradeoff_index];
 
+  // Labels are named locally: by occurrence, and index among its labels.
   struct Frame {
-    TreeNodeId node;
+    std::uint32_t occurrence;
     EmbedVertexId vertex;
     std::uint32_t label;
   };
-  std::vector<Frame> stack{{tree_.root(), rs.vertex, rs.label_index}};
+  const auto root = static_cast<std::uint32_t>(s_.nodes.size() - 1);
+  std::vector<Frame> stack{{root, rs.vertex, rs.label_index - root_base_}};
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
-    const EmbedScratch::Trace& l = s_.trace[f.label];
+    const EmbedScratch::Node& n = s_.nodes[f.occurrence];
+    const EmbedScratch::Trace& l = n.worker->trace[n.trace_begin + f.label];
     switch (l.kind) {
       case Provenance::Kind::kInitial:
-        out.set(f.node, f.vertex);
+        out.set(n.id, f.vertex);
         break;
       case Provenance::Kind::kAugment:
         stack.push_back(Frame{
-            f.node, EmbedVertexId(static_cast<EmbedVertexId::value_type>(l.ref[0])),
+            f.occurrence, EmbedVertexId(static_cast<EmbedVertexId::value_type>(l.ref[0])),
             l.ref[1]});
         break;
       case Provenance::Kind::kJoin: {
-        out.set(f.node, f.vertex);
-        const FaninTreeNode& node = tree_.node(f.node);
+        out.set(n.id, f.vertex);
         const std::uint32_t* child_idx =
-            l.num_children > 2 ? &s_.spill[l.ref[0]] : l.ref;
-        for (std::size_t k = 0; k < node.children.size(); ++k)
-          stack.push_back(Frame{node.children[k], f.vertex, child_idx[k]});
+            l.num_children > 2 ? &n.worker->spill[n.spill_begin + l.ref[0]] : l.ref;
+        for (std::size_t c = 0; c < tree_.node(n.id).children.size(); ++c)
+          stack.push_back(Frame{s_.children[n.first_child + c], f.vertex, child_idx[c]});
         break;
       }
     }

@@ -2,7 +2,8 @@
 
 #include <cstddef>
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "embed/embedding_graph.h"
@@ -52,25 +53,26 @@ struct EmbedOptions {
   /// dominance test. Reproduces the quadratic-delay worked example (Fig. 7).
   std::function<double(int)> stem_delay;
 
-  /// Optional thread pool for the per-vertex column loop of each join: the
-  /// A[i][*] columns are independent given the children's tables, so join
-  /// vertices are processed in parallel chunks. Results are bit-identical to
-  /// the serial embedder for any pool size (chunk outputs are merged back
-  /// in vertex order). Null = serial.
+  /// Optional thread pool. Sibling subtrees are solved concurrently (the
+  /// calling thread takes the largest child, pool threads the others), and
+  /// each join's per-vertex columns run in parallel chunks. Results are
+  /// bit-identical to the serial embedder for any pool size
+  /// (docs/ALGORITHMS.md §11). Null = serial.
   ThreadPool* pool = nullptr;
   /// Joins over graphs smaller than this stay serial (chunking overhead).
   int parallel_min_vertices = 96;
 };
 
-/// Reusable embedder storage (docs/ALGORITHMS.md §1 and §11). The node being
-/// built lives in working buffers. A finished node leaves the provenance of
-/// its labels in one flat array, and its live labels' join data on a stack
-/// that its parent's join pops, both CSR-indexed by vertex. Constructing a
-/// FaninTreeEmbedder with a scratch adopts these buffers and the destructor
-/// returns them, so a loop that embeds one tree per iteration (the
-/// replication engine — one embedder per sink) stops allocating after
-/// warm-up. One scratch must serve at most one live embedder at a time;
-/// speculation workers keep one per thread.
+/// Reusable embedder storage (docs/ALGORITHMS.md §1 and §11). Each thread
+/// that solves tree nodes holds a Worker: the node it is building lives in
+/// the worker's working buffers, and a finished node leaves the provenance
+/// of its labels in the worker's flat trace, with indices local to the node.
+/// The live labels' join data waits in a Joinable, CSR-indexed by vertex,
+/// until the parent's join reads it. Constructing a FaninTreeEmbedder with a
+/// scratch adopts these buffers and the destructor returns them, so a loop
+/// that embeds one tree per iteration (the replication engine — one
+/// embedder per sink) stops allocating after warm-up. One scratch must
+/// serve at most one live embedder at a time.
 struct EmbedScratch {
   /// Labels of one node under construction (or of one parallel join chunk),
   /// in creation order, with the vertex each sits at and the join
@@ -103,9 +105,10 @@ struct EmbedScratch {
     EmbedVertexId vertex;
     std::uint32_t label;
   };
-  /// How a finished label was built, with labels named by their index in
-  /// `trace`. kAugment: ref = {vertex propagated from, predecessor};
-  /// kJoin: ref = the child labels, or {offset into spill} for more than two.
+  /// How a finished label was built, with labels named by their index among
+  /// their node's finished labels. kAugment: ref = {vertex propagated from,
+  /// predecessor}; kJoin: ref = the child labels (each local to its child),
+  /// or {offset into the node's spill} for more than two.
   struct Trace {
     std::uint32_t ref[2];
     Provenance::Kind kind;
@@ -118,36 +121,58 @@ struct EmbedScratch {
     std::int32_t mc_weight;
     std::uint8_t branching;
   };
-  /// A finished node its parent has not joined yet. Its live labels at
-  /// vertex j are entries row[j] .. row[j + 1] of its segments, where row is
-  /// its (V + 1)-entry slice of `rows`.
-  struct Pending {
-    std::uint32_t trace_base;
-    std::uint32_t join_base;
+  /// A finished node's live labels: those at vertex j are labels[rows[j]]
+  /// .. labels[rows[j + 1]], and are its finished labels of the same index.
+  struct Joinable {
+    std::vector<std::uint32_t> rows;
+    std::vector<JoinLabel> labels;
+  };
+  /// One thread's storage while it holds it.
+  struct Worker {
+    /// Every node this worker finished: per node, the live labels in
+    /// vertex-then-insertion order, then the dead ones still reachable
+    /// through augment provenance.
+    std::vector<Trace> trace;
+    std::vector<std::uint32_t> spill;  ///< join children, > 2 per label
+    /// Node under construction: its labels, and per vertex the live labels
+    /// (sorted by cost when dominance is on (cost, delay) only).
+    Buffer work;
+    std::vector<std::vector<LiveRef>> live;
+    std::vector<QueueItem> heap;
+    std::vector<std::uint32_t> remap;  ///< work index -> finished index
+    std::vector<Buffer> chunks;        ///< parallel join outputs
+  };
+  /// One occurrence of a tree node, in post-order (a node a hand-built DAG
+  /// fixture shares between two parents occurs once per parent).
+  struct Node {
+    TreeNodeId id;
+    std::uint32_t first_child;  ///< its children's occurrences: children[first_child..]
+    /// Gates in its subtree, itself included: the scheduling weight (a
+    /// leaf's single label expands far faster than a gate's join output).
+    std::uint32_t size;
+    /// Where its finished labels went.
+    const Worker* worker;
+    std::uint32_t trace_begin;
+    std::uint32_t trace_size;
+    std::uint32_t spill_begin;
+    std::size_t created;
+    std::size_t evicted;
+    Joinable* joinable;  ///< until its parent's join has read it
   };
 
-  /// Every finished label: per node, the live ones in vertex-then-insertion
-  /// order, then the dead ones still reachable through augment provenance.
-  std::vector<Trace> trace;
-  std::vector<std::uint32_t> spill;  ///< join children, > 2 per label
-  /// Stacks, one entry (or row, or segment) per pending node.
-  std::vector<Pending> pending;
-  std::vector<std::uint32_t> rows;
-  std::vector<JoinLabel> joinable;
-
-  /// Node under construction: its labels, and per vertex the live labels
-  /// (sorted by cost when dominance is on (cost, delay) only).
-  Buffer work;
-  std::vector<std::vector<LiveRef>> live;
-  std::vector<QueueItem> heap;
-  std::vector<std::uint32_t> remap;  ///< work index -> trace index
-  std::vector<Buffer> chunks;        ///< parallel join outputs
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> children;
+  /// Owned storage; the embedder hands it out to one thread at a time.
+  std::vector<std::unique_ptr<Worker>> workers;
+  std::vector<std::unique_ptr<Joinable>> joinables;
 };
 
 /// One entry of the root trade-off curve.
 struct RootSolution {
   EmbedVertexId vertex;
-  std::uint32_t label_index;  ///< index in the embedder's label trace
+  /// Index of the label among all finished labels laid out in post-order
+  /// (each node's labels in the order it finished them).
+  std::uint32_t label_index;
   double cost;
   DelayVec delay;
 };
@@ -215,29 +240,39 @@ class FaninTreeEmbedder {
   };
 
   bool dominates(const Label& a, const Label& b) const;
-  /// Inserts the label `make()` builds at vertex v unless a live label there
-  /// dominates (cost, delay) — `make` runs only once the label is admitted.
+  /// Inserts the label `make()` builds into `buf` at vertex v unless a live
+  /// label of w's node there dominates (cost, delay) — `make` runs only once
+  /// the label is admitted.
   template <class Make>
-  bool insert_label(EmbedScratch::Buffer& buf, EmbedVertexId v, double cost,
-                    const DelayVec& delay, Make&& make);
+  bool insert_label(EmbedScratch::Worker& w, EmbedScratch::Buffer& buf, EmbedVertexId v,
+                    double cost, const DelayVec& delay, Make&& make);
   void cap_list(EmbedScratch::Buffer& buf, std::vector<EmbedScratch::LiveRef>& live);
+  /// Lists the tree's occurrences in post-order and checks the structure
+  /// (children per node, terminals inside the graph).
+  bool index_tree();
+  bool index_subtree(TreeNodeId i);
+  /// Solves occurrence k on worker w: its children's subtrees first, on the
+  /// pool when there is one, then its join (or initial label) and wavefront.
+  void solve(std::uint32_t k, EmbedScratch::Worker& w);
   /// Expands the labels of the node under construction (the working buffer).
-  void wavefront();
-  void join_node(TreeNodeId i, bool root_mode);
-  /// Joins node i at every vertex in [lo, hi), appending the new labels to
-  /// `out` (indices and spill offsets local to it). Writes only out and
-  /// live[lo..hi) — safe to run disjoint ranges concurrently.
-  void join_vertex_range(TreeNodeId i, std::size_t lo, std::size_t hi,
-                         JoinScratch& js, EmbedScratch::Buffer& out);
+  void wavefront(EmbedScratch::Worker& w);
+  void join_node(std::uint32_t k, EmbedScratch::Worker& w);
+  /// Joins occurrence k at every vertex in [lo, hi), appending the new
+  /// labels to `out` (indices and spill offsets local to it). Writes only
+  /// out and w.live[lo..hi) — safe to run disjoint ranges concurrently.
+  void join_vertex_range(std::uint32_t k, std::size_t lo, std::size_t hi,
+                         JoinScratch& js, EmbedScratch::Worker& w,
+                         EmbedScratch::Buffer& out);
   /// Moves the node's live labels, and the dead ones their augment
-  /// provenance reaches, from the working buffer into the finished stores,
-  /// and pushes it as pending.
-  void finish_node();
+  /// provenance reaches, from the working buffer into the worker's trace
+  /// and a Joinable for the parent.
+  void finish_node(std::uint32_t k, EmbedScratch::Worker& w);
   double augment_delay_delta(int stem_len, double edge_delay_or_len) const;
-  /// CSR row of pending node `k` (0 = bottom of the stack).
-  const std::uint32_t* row(std::size_t k) const {
-    return &s_.rows[k * (graph_.num_vertices() + 1)];
-  }
+  /// Thread-safe hand-out of scratch storage, reused within and across runs.
+  EmbedScratch::Worker& acquire_worker();
+  void release_worker(EmbedScratch::Worker& w);
+  EmbedScratch::Joinable& acquire_joinable(std::size_t labels);
+  void release_joinable(EmbedScratch::Joinable& j);
 
   const FaninTree& tree_;
   const EmbeddingGraph& graph_;
@@ -245,13 +280,17 @@ class FaninTreeEmbedder {
   EmbedOptions opt_;
   EmbedScratch* scratch_ = nullptr;
   EmbedScratch s_;
+  std::mutex mu_;  ///< guards the idle lists
+  std::vector<EmbedScratch::Worker*> idle_workers_;
+  std::vector<EmbedScratch::Joinable*> idle_joinables_;
   /// Dominance on (cost, lex delay) only: live sets are staircases.
   bool staircase_ = true;
 
   std::vector<RootSolution> tradeoff_;
+  /// Finished labels of every occurrence before the root, in post-order.
+  std::uint32_t root_base_ = 0;
   std::size_t labels_created_ = 0;
   std::size_t labels_evicted_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace repro

@@ -88,9 +88,9 @@ struct Provenance {
   /// the predecessor label in the node's working buffer.
   EmbedVertexId from;
   std::uint32_t pred_label = 0;
-  /// kJoin: per-child label index in the embedder's trace of finished
-  /// labels (children in tree order). Stored inline for <= 2 children,
-  /// spilled otherwise.
+  /// kJoin: per-child label index among that child's finished labels
+  /// (children in tree order). Stored inline for <= 2 children, spilled
+  /// otherwise.
   std::uint32_t child_labels_inline[2] = {0, 0};
   std::int32_t spill_index = -1;  ///< offset into the working buffer's spill array
   std::uint8_t num_children = 0;

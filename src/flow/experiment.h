@@ -39,8 +39,9 @@ struct FlowConfig {
   /// Compute the low-stress numbers (W_min search + 1.2 W_min routing).
   bool route_lowstress = true;
   std::uint64_t seed = 7;
-  /// Threads for the replication engine's speculative embedding
-  /// (EngineOptions::num_threads): 0 = hardware concurrency, 1 = serial.
+  /// Threads inside the replication engine's embeddings (sibling subtrees
+  /// and join columns, EngineOptions::num_threads): 0 = hardware
+  /// concurrency, 1 = serial.
   /// Results are bit-identical for every value. Override with REPRO_THREADS.
   int num_threads = 0;
   /// Invariant auditing after prepare_circuit and around evaluate_routed

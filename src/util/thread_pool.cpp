@@ -96,12 +96,11 @@ struct ThreadPool::ForState {
   std::mutex mu;
   std::condition_variable cv;
 
-  // Runs chunks until none are left; returns items completed by this thread.
-  void drain() {
+  // Runs chunk c, which this thread has claimed, then claims and runs more
+  // until none are left.
+  void drain(std::size_t c) {
     std::size_t completed = 0;
-    for (;;) {
-      const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
+    for (; c < num_chunks; c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
       const std::size_t lo = c * grain;
       const std::size_t hi = std::min(n, lo + grain);
       for (std::size_t i = lo; i < hi; ++i) (*fn)(i);
@@ -132,13 +131,18 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   state->grain = grain;
   state->num_chunks = (n + grain - 1) / grain;
   state->fn = &fn;
+  // The caller claims chunk 0 before any helper can: callers that order
+  // their work heaviest first keep the heaviest piece on their own thread.
+  state->next_chunk.store(1, std::memory_order_relaxed);
 
   const std::size_t helpers =
       std::min<std::size_t>(workers_.size(), state->num_chunks - 1);
   for (std::size_t h = 0; h < helpers; ++h)
-    push_task([state] { state->drain(); });
+    push_task([state] {
+      state->drain(state->next_chunk.fetch_add(1, std::memory_order_relaxed));
+    });
 
-  state->drain();  // the caller always participates — no idle-wait deadlock
+  state->drain(0);  // the caller always participates — no idle-wait deadlock
 
   // Chunks may still be mid-flight on helpers; `fn` (and the caller's stack)
   // must stay alive until the last item completes.

@@ -17,22 +17,22 @@ namespace repro {
 
 /// Small work-stealing thread pool (no external dependencies).
 ///
-/// Built for the replication engine's speculative fan-out and the embedder's
-/// per-vertex join parallelism:
+/// Built for the embedder's subtree and join-column parallelism, and reused
+/// by the flow service and the analytic placer:
 ///
-///  * `submit(fn)` enqueues a task and returns a `std::future` — used for
-///    sink-level speculation, where the main thread later harvests (or
-///    discards) each result;
+///  * `submit(fn)` enqueues a task and returns a `std::future` — used where
+///    the caller later harvests each result (flow-service jobs);
 ///  * `parallel_for(n, grain, fn)` splits an index range into chunks and
-///    runs them on the pool *and* on the calling thread — used for the
-///    embedder's `A[i][*]` column loop. The caller participates in the chunk
+///    runs them on the pool *and* on the calling thread, which always takes
+///    chunk 0 — used for the embedder's sibling subtrees (heaviest first)
+///    and its `A[i][*]` column loop. The caller participates in the chunk
 ///    loop, so nesting a `parallel_for` inside a pool task cannot deadlock:
 ///    progress never depends on another worker becoming free.
 ///
 /// Each worker owns a deque protected by a small mutex: owners push/pop at
 /// the back (LIFO, keeps the working set hot and runs freshly spawned
-/// `parallel_for` chunks before older speculation tasks), thieves steal from
-/// the front (FIFO). A pool constructed with `threads <= 1` spawns no
+/// `parallel_for` chunks before older tasks), thieves steal from the front
+/// (FIFO). A pool constructed with `threads <= 1` spawns no
 /// workers; `submit` then runs the task inline, and `parallel_for` degrades
 /// to a plain serial loop.
 ///

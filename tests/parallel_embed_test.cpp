@@ -1,17 +1,22 @@
-// Parallel speculative embedding (docs/ALGORITHMS.md §11).
+// Subtree-parallel embedding (docs/ALGORITHMS.md §11).
 //
 // The hard guarantee under test: the optimization trajectory is BIT-IDENTICAL
-// for every thread count. num_threads=1 must reproduce the pre-PR serial
-// engine exactly (hard-coded hexfloat goldens below were captured from the
-// serial engine before the thread pool existed), and any other thread count
-// must reproduce the num_threads=1 run — speculation only prefetches the
-// embeddings the serial schedule was going to compute anyway.
+// for every thread count. num_threads=1 must reproduce the serial engine
+// exactly (hard-coded hexfloat goldens below were captured from the serial
+// engine before the thread pool existed), and any other thread count must
+// reproduce the num_threads=1 run: the embedder's tables do not depend on
+// which thread solved which subtree.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "embed/embedder.h"
@@ -57,9 +62,9 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ParallelForInsidePoolTaskDoesNotDeadlock) {
-  // The embedder's join parallel_for can run inside a speculation task; the
-  // caller participates in its own chunk loop, so this must complete even
-  // when every worker is busy.
+  // The embedder nests parallel_for calls (join columns inside sibling
+  // subtrees); the caller participates in its own chunk loop, so this must
+  // complete even when every worker is busy.
   ThreadPool pool(2);
   std::vector<std::future<long>> futs;
   for (int t = 0; t < 4; ++t) {
@@ -136,6 +141,180 @@ TEST(ParallelEmbedder, JoinColumnsBitIdenticalForAnyPoolSize) {
     ASSERT_EQ(es.size(), ep.size());
     EXPECT_TRUE(es == ep);
   }
+}
+
+/// A bushy five-level tree over a 14x14 grid: gates with one to four
+/// children (so joins of more than two children spill their provenance),
+/// leaves with varied arrivals, and a mix of real inputs and terminators.
+struct BushyFixture {
+  EmbeddingGraph graph = EmbeddingGraph::make_grid(Rect{0, 0, 13, 13}, 1.0, 1.0);
+  FaninTree tree;
+
+  BushyFixture() {
+    auto leaf = [&](const char* name, Point p, double arrival) {
+      return tree.add_leaf(name, p, arrival, arrival < 0.5);
+    };
+    TreeNodeId l[12] = {
+        leaf("l0", {0, 0}, 0.0),   leaf("l1", {3, 0}, 0.7),   leaf("l2", {0, 4}, 1.3),
+        leaf("l3", {5, 2}, 0.2),   leaf("l4", {13, 0}, 2.1),  leaf("l5", {9, 3}, 0.0),
+        leaf("l6", {13, 6}, 0.9),  leaf("l7", {0, 13}, 1.7),  leaf("l8", {4, 9}, 0.4),
+        leaf("l9", {2, 11}, 3.0),  leaf("l10", {7, 7}, 0.6), leaf("l11", {10, 12}, 1.1)};
+    TreeNodeId a1 = tree.add_gate("a1", {l[0], l[1], l[2], l[3]}, 1.0);
+    TreeNodeId a2 = tree.add_gate("a2", {l[4]}, 0.5);
+    TreeNodeId a3 = tree.add_gate("a3", {l[5], l[6]}, 1.0);
+    TreeNodeId a4 = tree.add_gate("a4", {l[7], l[8], l[9]}, 1.5);
+    TreeNodeId b1 = tree.add_gate("b1", {a1, a2, l[10]}, 1.0);
+    TreeNodeId b2 = tree.add_gate("b2", {a3, a4}, 1.0);
+    TreeNodeId c1 = tree.add_gate("c1", {b1, b2, l[11]}, 1.0);
+    tree.set_root(tree.add_gate("r", {c1}, 1.0), {12, 12});
+  }
+};
+
+/// Every observable result of two runs, bitwise: the trade-off curve with
+/// its label indices, the label counters and the extraction of every entry.
+void expect_identical_embedders(const FaninTreeEmbedder& x, const FaninTreeEmbedder& y) {
+  EXPECT_EQ(x.labels_created(), y.labels_created());
+  EXPECT_EQ(x.labels_evicted(), y.labels_evicted());
+  ASSERT_EQ(x.tradeoff().size(), y.tradeoff().size());
+  for (std::size_t k = 0; k < x.tradeoff().size(); ++k) {
+    const RootSolution& a = x.tradeoff()[k];
+    const RootSolution& b = y.tradeoff()[k];
+    EXPECT_EQ(a.vertex, b.vertex) << "entry " << k;
+    EXPECT_EQ(a.label_index, b.label_index) << "entry " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost), std::bit_cast<std::uint64_t>(b.cost))
+        << "entry " << k;
+    ASSERT_EQ(a.delay.n, b.delay.n) << "entry " << k;
+    for (int d = 0; d < a.delay.n; ++d)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.delay.v[d]),
+                std::bit_cast<std::uint64_t>(b.delay.v[d]))
+          << "entry " << k << " delay " << d;
+    EXPECT_TRUE(x.extract(static_cast<int>(k)) == y.extract(static_cast<int>(k)))
+        << "entry " << k;
+  }
+}
+
+TEST(ParallelEmbedder, SubtreesBitIdenticalForAnyPoolSize) {
+  BushyFixture fx;
+  struct Config {
+    const char* name;
+    EmbedOptions eo;
+  };
+  std::vector<Config> configs;
+  auto add = [&](const char* name, auto&& set) {
+    EmbedOptions eo;
+    set(eo);
+    configs.push_back({name, eo});
+  };
+  add("rt", [](EmbedOptions&) {});
+  add("lex3", [](EmbedOptions& eo) { eo.lex_order = 3; });
+  add("lex_mc", [](EmbedOptions& eo) { eo.lex_mc = true; });
+  add("max_labels_3", [](EmbedOptions& eo) {
+    eo.lex_order = 2;
+    eo.max_labels = 3;
+  });
+  add("relocatable_root", [](EmbedOptions& eo) {
+    eo.lex_order = 3;
+    eo.relocatable_root = true;
+  });
+  add("overlap_avoidance", [](EmbedOptions& eo) {
+    eo.overlap_avoidance = true;
+    eo.branch_capacity = 2;
+  });
+
+  // The placement cost records which threads call it: two or more prove
+  // that sibling subtrees (or join columns) really ran on the pool.
+  std::mutex mu;
+  std::set<std::thread::id> callers;
+  auto pc = [&](TreeNodeId i, EmbedVertexId j) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      callers.insert(std::this_thread::get_id());
+    }
+    return DpFixture::pcost(fx.graph, i, j);
+  };
+
+  std::vector<std::unique_ptr<FaninTreeEmbedder>> serial;
+  for (const Config& c : configs) {
+    SCOPED_TRACE(c.name);
+    serial.push_back(std::make_unique<FaninTreeEmbedder>(fx.tree, fx.graph, pc, c.eo));
+    ASSERT_TRUE(serial.back()->run());
+    if (c.eo.max_labels > 0) {
+      EXPECT_GT(serial.back()->labels_evicted(), 0u);  // the cap really bites
+    }
+  }
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    callers.clear();
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      SCOPED_TRACE(configs[k].name);
+      EmbedOptions par = configs[k].eo;
+      par.pool = &pool;
+      FaninTreeEmbedder pe(fx.tree, fx.graph, pc, par);
+      ASSERT_TRUE(pe.run());
+      expect_identical_embedders(*serial[k], pe);
+    }
+    if (threads >= 2) {
+      EXPECT_GE(callers.size(), 2u);
+    }
+  }
+}
+
+TEST(ParallelEmbedder, SharedSubtreeIsSolvedPerOccurrence) {
+  // A hand-built DAG: s feeds both p1 and p2. The embedder solves s once per
+  // parent, exactly as if the tree held two copies of it, at any pool size.
+  const EmbeddingGraph graph = EmbeddingGraph::make_grid(Rect{0, 0, 11, 11}, 1.0, 1.0);
+  auto build = [](FaninTree& t, bool shared) {
+    TreeNodeId a = t.add_leaf("a", {0, 0}, 0.4, true);
+    TreeNodeId b = t.add_leaf("b", {11, 0}, 0.0, true);
+    TreeNodeId c = t.add_leaf("c", {0, 11}, 1.0, false);
+    TreeNodeId d = t.add_leaf("d", {6, 9}, 0.2, true);
+    TreeNodeId s1 = t.add_gate("s", {a, b}, 1.0);
+    TreeNodeId s2 = shared ? s1 : t.add_gate("s_copy", {a, b}, 1.0);
+    TreeNodeId p1 = t.add_gate("p1", {s1, c}, 1.0);
+    TreeNodeId p2 = t.add_gate("p2", {s2, d}, 1.0);
+    t.set_root(t.add_gate("r", {p1, p2}, 1.0), {11, 11});
+  };
+  FaninTree dag;
+  FaninTree copied;
+  build(dag, true);
+  build(copied, false);
+  auto pc = [&](TreeNodeId, EmbedVertexId j) {
+    const Point p = graph.point(j);
+    return 0.5 * ((p.x * 5 + p.y * 3) % 7);
+  };
+  EmbedOptions eo;
+  eo.lex_order = 3;
+  FaninTreeEmbedder reference(copied, graph, pc, eo);
+  ASSERT_TRUE(reference.run());
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    EmbedOptions par = eo;
+    par.pool = &pool;
+    FaninTreeEmbedder e(dag, graph, pc, par);
+    ASSERT_TRUE(e.run());
+    EXPECT_EQ(e.labels_created(), reference.labels_created());
+    ASSERT_EQ(e.tradeoff().size(), reference.tradeoff().size());
+    for (std::size_t k = 0; k < e.tradeoff().size(); ++k) {
+      EXPECT_EQ(e.tradeoff()[k].vertex, reference.tradeoff()[k].vertex);
+      EXPECT_EQ(e.tradeoff()[k].label_index, reference.tradeoff()[k].label_index);
+      EXPECT_EQ(e.tradeoff()[k].cost, reference.tradeoff()[k].cost);
+      EXPECT_EQ(e.tradeoff()[k].delay.lex_compare(reference.tradeoff()[k].delay), 0);
+    }
+  }
+}
+
+TEST(ParallelEmbedder, LeafOutsideGraphFailsOnPool) {
+  BushyFixture fx;
+  FaninTree tree = fx.tree;
+  tree.node_mutable(tree.leaves().back()).fixed_loc = Point{40, 40};
+  ThreadPool pool(4);
+  EmbedOptions eo;
+  eo.pool = &pool;
+  FaninTreeEmbedder e(tree, fx.graph, nullptr, eo);
+  EXPECT_FALSE(e.run());
+  EXPECT_TRUE(e.tradeoff().empty());
 }
 
 TEST(ParallelEmbedder, ScratchReuseAcrossRunsIsClean) {
@@ -338,10 +517,6 @@ TEST(ParallelEngine, TrajectoryIdenticalAcrossThreadCounts) {
     EngineResult r = run_at(h, threads);
     expect_identical_runs(base, rbase, h, r, "threads vs serial");
     EXPECT_EQ(r.num_threads_used, threads);
-    // Speculation must actually engage (hits are iterations served from the
-    // prefetch cache) — otherwise this test exercises nothing.
-    EXPECT_GT(r.speculations_launched, 0u);
-    EXPECT_GT(r.speculation_hits, 0u);
     // Function and legality preserved under concurrency.
     EXPECT_TRUE(h.pl.legal()) << h.pl.check_legal();
     EXPECT_TRUE(h.nl.validate().empty()) << h.nl.validate();
@@ -349,11 +524,10 @@ TEST(ParallelEngine, TrajectoryIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelEngine, RollbackUnderSpeculationLeavesStateUntouched) {
+TEST(ParallelEngine, RollbackAtFourThreadsLeavesStateUntouched) {
   // Dense fixture: almost no spare slots, so legalization fails and the
-  // engine exercises the rollback path (which must keep — not invalidate —
-  // the speculation cache, and must restore bit-exact state). The serial
-  // run is the oracle.
+  // engine exercises the rollback path (which must restore bit-exact
+  // state). The serial run is the oracle.
   ParallelHarness base(31, /*slack=*/0);
   EngineResult rbase = run_at(base, /*threads=*/1, /*max_iterations=*/30);
   for (int threads : {4}) {
