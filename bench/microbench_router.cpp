@@ -1,30 +1,22 @@
-// Microbenchmark: router fast path vs the pre-PR PathFinder
+// Microbenchmark: the PathFinder router's work counters
 // (docs/ALGORITHMS.md §12).
 //
-// Four configurations route the same placed circuits:
-//   baseline  pre-PR behavior: Dijkstra expansion, full rip-up every pass,
-//             cold W_min probes, no stall abort
-//   astar     + A* lookahead
-//   incr      + incremental rip-up (only illegal nets) and stall abort
-//   fast      + warm-started W_min binary search (all defaults)
+// Routes placed generated circuits with the default router (A* expansion,
+// incremental rip-up, warm-started W_min search, stall abort) and records
+// hardware-independent work: maze nodes expanded and heap operations during
+// the W_min binary search and at the low-stress width. Every route runs
+// with the occupancy self-check on. Gates:
+//   - plausible counters (some expansion; heap pushes >= pops)
+//   - bit-identical results across two runs (determinism)
+// --smoke runs the smallest circuit only so CI stays fast.
 //
-// The interesting metric is hardware-independent work: maze nodes expanded
-// during the W_min binary search. Gates (full mode):
-//   - fast W_min <= baseline W_min on every circuit
-//   - total fast W_min-search node expansions at least 3x below baseline
-//   - low-stress routed wirelength and critical delay aggregate (geomean)
-//     within 1% of baseline (equal-cost path tie-breaks differ; quality must
-//     not)
-//   - fast results bit-identical across two runs (determinism)
-// --smoke runs the smallest circuit only and skips the 3x gate (counters and
-// determinism are still checked) so CI stays fast and wall-clock free.
-//
-// Emits BENCH_router.json in the working directory.
+// Emits BENCH_router.json in the working directory. The committed copy at
+// the repository root predates this form: its baseline/astar/incr columns
+// and its expansion-reduction headline came from router configurations
+// that no longer exist.
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -37,25 +29,9 @@
 namespace repro {
 namespace {
 
-struct Config {
-  const char* name;
-  bool astar, incr, warm;
-};
-
-constexpr Config kConfigs[] = {{"baseline", false, false, false},
-                               {"astar", true, false, false},
-                               {"incr", true, true, false},
-                               {"fast", true, true, true}};
-
-RouterOptions options_for(const Config& c) {
+RouterOptions bench_options() {
   RouterOptions opt;
-  opt.use_astar = c.astar;
-  opt.incremental_reroute = c.incr;
-  opt.warm_start_wmin = c.warm;
   opt.self_check = true;
-  // The baseline models the pre-PR router, which always ran negotiation to
-  // max_iterations on a failing width.
-  if (!c.astar && !c.incr && !c.warm) opt.stall_abort_window = 0;
   return opt;
 }
 
@@ -86,8 +62,9 @@ struct Fixture {
         }()) {}
 };
 
-struct ConfigResult {
-  std::string config;
+struct CircuitResult {
+  int num_logic = 0;
+  std::uint64_t seed = 0;
   int wmin = 0;
   std::uint64_t wmin_expansions = 0;
   std::uint64_t wmin_pushes = 0;
@@ -101,16 +78,9 @@ struct ConfigResult {
   int ls_passes = 0;
 };
 
-struct CircuitResult {
-  int num_logic = 0;
-  std::uint64_t seed = 0;
-  std::vector<ConfigResult> configs;
-};
-
-ConfigResult run_config(const Fixture& f, const Config& c) {
-  const RouterOptions opt = options_for(c);
-  ConfigResult out;
-  out.config = c.name;
+CircuitResult run_circuit(const Fixture& f) {
+  const RouterOptions opt = bench_options();
+  CircuitResult out;
 
   RoutingResult inf = route(f.nl, f.pl, opt);
   out.inf_wirelength = inf.total_wirelength;
@@ -133,11 +103,11 @@ ConfigResult run_config(const Fixture& f, const Config& c) {
   return out;
 }
 
-/// Determinism gate: the fast config must produce bit-identical results on a
-/// second run (same W_min, identical connection lengths and pass stats at
-/// the low-stress width), in both incremental and full-reroute modes.
-bool check_deterministic(const Fixture& f, const Config& c) {
-  const RouterOptions opt = options_for(c);
+/// Determinism gate: a second run must produce bit-identical results (same
+/// W_min, identical connection lengths and pass stats at the low-stress
+/// width).
+bool check_deterministic(const Fixture& f) {
+  const RouterOptions opt = bench_options();
   WminSearchStats ws1, ws2;
   const int w1 = find_min_channel_width(f.nl, f.pl, opt, &ws1);
   const int w2 = find_min_channel_width(f.nl, f.pl, opt, &ws2);
@@ -148,13 +118,6 @@ bool check_deterministic(const Fixture& f, const Config& c) {
   RoutingResult b = route(f.nl, f.pl, ls);
   return a.success == b.success && a.total_wirelength == b.total_wirelength &&
          a.connection_length == b.connection_length && a.pass_stats == b.pass_stats;
-}
-
-const ConfigResult& find_config(const CircuitResult& cr, const char* name) {
-  for (const ConfigResult& c : cr.configs)
-    if (c.config == name) return c;
-  std::fprintf(stderr, "missing config %s\n", name);
-  std::abort();
 }
 
 }  // namespace
@@ -173,93 +136,40 @@ int main(int argc, char** argv) {
 
   std::vector<CircuitResult> results;
   int failures = 0;
+  std::uint64_t total_exp = 0;
   for (int num_logic : sizes) {
     for (std::uint64_t seed : seeds) {
       Fixture f(num_logic, seed);
-      CircuitResult cr;
-      cr.num_logic = num_logic;
-      cr.seed = seed;
-      for (const Config& c : kConfigs) cr.configs.push_back(run_config(f, c));
-
-      const ConfigResult& base = find_config(cr, "baseline");
-      const ConfigResult& fast = find_config(cr, "fast");
-      for (const ConfigResult& c : cr.configs)
-        std::printf("n=%3d s=%llu %-8s wmin=%d wmin_exp=%llu probes=%d "
-                    "inf_wl=%lld ls_wl=%lld inf_d=%.3f ls_d=%.3f\n",
-                    num_logic, static_cast<unsigned long long>(seed),
-                    c.config.c_str(), c.wmin,
-                    static_cast<unsigned long long>(c.wmin_expansions),
-                    c.wmin_probes, static_cast<long long>(c.inf_wirelength),
-                    static_cast<long long>(c.ls_wirelength), c.inf_delay,
-                    c.ls_delay);
-
-      if (fast.wmin > base.wmin) {
-        std::fprintf(stderr, "FAIL n=%d s=%llu: fast wmin %d > baseline %d\n",
-                     num_logic, static_cast<unsigned long long>(seed), fast.wmin,
-                     base.wmin);
+      CircuitResult c = run_circuit(f);
+      c.num_logic = num_logic;
+      c.seed = seed;
+      total_exp += c.wmin_expansions;
+      std::printf("n=%3d s=%llu wmin=%d wmin_exp=%llu probes=%d "
+                  "inf_wl=%lld ls_wl=%lld inf_d=%.3f ls_d=%.3f\n",
+                  num_logic, static_cast<unsigned long long>(seed), c.wmin,
+                  static_cast<unsigned long long>(c.wmin_expansions),
+                  c.wmin_probes, static_cast<long long>(c.inf_wirelength),
+                  static_cast<long long>(c.ls_wirelength), c.inf_delay,
+                  c.ls_delay);
+      if (c.wmin_expansions == 0 || c.wmin_pushes < c.wmin_pops) {
+        std::fprintf(stderr, "FAIL n=%d s=%llu: implausible counters "
+                     "(exp=%llu pushes=%llu pops=%llu)\n",
+                     num_logic, static_cast<unsigned long long>(seed),
+                     static_cast<unsigned long long>(c.wmin_expansions),
+                     static_cast<unsigned long long>(c.wmin_pushes),
+                     static_cast<unsigned long long>(c.wmin_pops));
         ++failures;
       }
-      for (const ConfigResult& c : cr.configs) {
-        if (c.wmin_expansions == 0 || c.wmin_pushes < c.wmin_pops) {
-          std::fprintf(stderr, "FAIL n=%d s=%llu %s: implausible counters "
-                       "(exp=%llu pushes=%llu pops=%llu)\n",
-                       num_logic, static_cast<unsigned long long>(seed),
-                       c.config.c_str(),
-                       static_cast<unsigned long long>(c.wmin_expansions),
-                       static_cast<unsigned long long>(c.wmin_pushes),
-                       static_cast<unsigned long long>(c.wmin_pops));
-          ++failures;
-        }
+      if (!check_deterministic(f)) {
+        std::fprintf(stderr, "FAIL n=%d s=%llu: non-deterministic routing\n",
+                     num_logic, static_cast<unsigned long long>(seed));
+        ++failures;
       }
-      for (const Config& c : kConfigs) {
-        const bool is_fast = !std::strcmp(c.name, "fast");
-        const bool is_full = !std::strcmp(c.name, "astar");
-        if (!is_fast && !is_full) continue;  // incremental + full-reroute modes
-        if (!check_deterministic(f, c)) {
-          std::fprintf(stderr, "FAIL n=%d s=%llu %s: non-deterministic routing\n",
-                       num_logic, static_cast<unsigned long long>(seed), c.name);
-          ++failures;
-        }
-      }
-      results.push_back(std::move(cr));
+      results.push_back(c);
     }
   }
-
-  // Aggregate gates over all circuits.
-  std::uint64_t base_exp = 0, fast_exp = 0;
-  double log_wl_ratio = 0, log_delay_ratio = 0;
-  for (const CircuitResult& cr : results) {
-    const ConfigResult& base = find_config(cr, "baseline");
-    const ConfigResult& fast = find_config(cr, "fast");
-    base_exp += base.wmin_expansions;
-    fast_exp += fast.wmin_expansions;
-    log_wl_ratio += std::log(static_cast<double>(fast.ls_wirelength) /
-                             static_cast<double>(base.ls_wirelength));
-    log_delay_ratio += std::log(fast.ls_delay / base.ls_delay);
-  }
-  const double reduction = static_cast<double>(base_exp) /
-                           static_cast<double>(fast_exp ? fast_exp : 1);
-  const double wl_geomean = std::exp(log_wl_ratio / results.size());
-  const double delay_geomean = std::exp(log_delay_ratio / results.size());
-  std::printf("W_min search expansions: baseline=%llu fast=%llu (%.2fx "
-              "reduction)\nlow-stress quality vs baseline: wirelength %.4fx, "
-              "delay %.4fx (geomean)\n",
-              static_cast<unsigned long long>(base_exp),
-              static_cast<unsigned long long>(fast_exp), reduction, wl_geomean,
-              delay_geomean);
-  if (!smoke && reduction < 3.0) {
-    std::fprintf(stderr, "FAIL: expansion reduction %.2fx < 3x\n", reduction);
-    ++failures;
-  }
-  // Equal-cost tie-breaks make single-circuit quality noisy (+/- ~2%); the 1%
-  // bound is meaningful on the full aggregate, smoke only catches gross
-  // regressions.
-  const double quality_tol = smoke ? 1.10 : 1.01;
-  if (wl_geomean > quality_tol || delay_geomean > quality_tol) {
-    std::fprintf(stderr, "FAIL: low-stress quality regressed (wl %.4fx, delay "
-                 "%.4fx)\n", wl_geomean, delay_geomean);
-    ++failures;
-  }
+  std::printf("W_min search expansions: %llu over %zu circuits\n",
+              static_cast<unsigned long long>(total_exp), results.size());
 
   FILE* out = std::fopen("BENCH_router.json", "w");
   if (!out) {
@@ -267,40 +177,35 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  bench::emit_summary(out, "router", reduction);
+  // One configuration, so no ratio to report: the headline is 1.0.
+  bench::emit_summary(out, "router", 1.0);
   std::fprintf(out,
                "  \"benchmark\": \"router\",\n  \"smoke\": %s,\n"
-               "  \"wmin_expansion_reduction\": %.2f,\n"
-               "  \"ls_wirelength_geomean_vs_baseline\": %.4f,\n"
-               "  \"ls_delay_geomean_vs_baseline\": %.4f,\n"
+               "  \"wmin_nodes_expanded_total\": %llu,\n"
                "  \"note\": \"all counters are hardware-independent work "
-               "(maze nodes expanded, heap ops); baseline reproduces the "
-               "pre-PR router configuration\",\n  \"circuits\": [\n",
-               smoke ? "true" : "false", reduction, wl_geomean, delay_geomean);
+               "(maze nodes expanded, heap ops) of the default router\",\n"
+               "  \"circuits\": [\n",
+               smoke ? "true" : "false",
+               static_cast<unsigned long long>(total_exp));
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const CircuitResult& cr = results[i];
-    std::fprintf(out, "    {\"num_logic\": %d, \"seed\": %llu, \"configs\": [\n",
-                 cr.num_logic, static_cast<unsigned long long>(cr.seed));
-    for (std::size_t j = 0; j < cr.configs.size(); ++j) {
-      const ConfigResult& c = cr.configs[j];
-      std::fprintf(
-          out,
-          "      {\"config\": \"%s\", \"wmin\": %d, \"wmin_probes\": %d,\n"
-          "       \"wmin_nodes_expanded\": %llu, \"wmin_heap_pushes\": %llu, "
-          "\"wmin_heap_pops\": %llu,\n"
-          "       \"inf_wirelength\": %lld, \"inf_delay\": %.6f,\n"
-          "       \"ls_wirelength\": %lld, \"ls_delay\": %.6f, "
-          "\"ls_nodes_expanded\": %llu, \"ls_passes\": %d}%s\n",
-          c.config.c_str(), c.wmin, c.wmin_probes,
-          static_cast<unsigned long long>(c.wmin_expansions),
-          static_cast<unsigned long long>(c.wmin_pushes),
-          static_cast<unsigned long long>(c.wmin_pops),
-          static_cast<long long>(c.inf_wirelength), c.inf_delay,
-          static_cast<long long>(c.ls_wirelength), c.ls_delay,
-          static_cast<unsigned long long>(c.ls_expansions), c.ls_passes,
-          j + 1 < cr.configs.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}%s\n", i + 1 < results.size() ? "," : "");
+    const CircuitResult& c = results[i];
+    std::fprintf(
+        out,
+        "    {\"num_logic\": %d, \"seed\": %llu, \"wmin\": %d, "
+        "\"wmin_probes\": %d,\n"
+        "     \"wmin_nodes_expanded\": %llu, \"wmin_heap_pushes\": %llu, "
+        "\"wmin_heap_pops\": %llu,\n"
+        "     \"inf_wirelength\": %lld, \"inf_delay\": %.6f,\n"
+        "     \"ls_wirelength\": %lld, \"ls_delay\": %.6f, "
+        "\"ls_nodes_expanded\": %llu, \"ls_passes\": %d}%s\n",
+        c.num_logic, static_cast<unsigned long long>(c.seed), c.wmin,
+        c.wmin_probes, static_cast<unsigned long long>(c.wmin_expansions),
+        static_cast<unsigned long long>(c.wmin_pushes),
+        static_cast<unsigned long long>(c.wmin_pops),
+        static_cast<long long>(c.inf_wirelength), c.inf_delay,
+        static_cast<long long>(c.ls_wirelength), c.ls_delay,
+        static_cast<unsigned long long>(c.ls_expansions), c.ls_passes,
+        i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -1,41 +1,33 @@
-// Scale benchmark: SoA arena data layout vs the pre-PR map-based layout
-// (DESIGN.md §9) across the full generate -> place -> replicate -> route
-// pipeline.
+// Scale benchmark: the embedding-region guard (DESIGN.md §9) across the full
+// generate -> place -> replicate -> route pipeline.
 //
-// Three configurations run the same circuits end to end:
-//   baseline  the pre-PR configuration: unordered_map SPT extraction +
-//             monotone bound (EngineOptions::flat_scratch = false), per-move
-//             net bbox recomputation from materialized terminal lists
-//             (AnnealerOptions::incremental_bbox = false), and no
-//             embedding-region guard (max_region_points = 0) — pre-PR, a
-//             chip-spanning tree paid a chip-sized DP.
-//   legacy    the scale-pass knobs (region guard on) but the pre-PR map
-//             data layouts. Exists to prove in-bench that the layouts alone
-//             change nothing: results must be bit-identical to `arena`.
-//   arena     the defaults: generation-stamped flat scratch arenas,
-//             incrementally maintained net bounding boxes, region guard on.
+// Two configurations run the same circuits end to end:
+//   baseline  no embedding-region guard (max_region_points = 0): a
+//             chip-spanning tree pays a chip-sized DP.
+//   arena     the defaults plus the region guard at 4096 points.
 //
-// `legacy` and `arena` must produce bit-identical results (netlist,
-// placement, engine trajectory) — the layouts differ, the arithmetic does
-// not. `baseline` runs different (pre-PR) options, so its results may
-// legitimately differ; it exists for the wall-time/RSS trajectory. The
-// benchmark records per-stage wall time and peak RSS for a sweep of sizes,
-// with the arena configuration extended beyond the largest size the
+// Both use the generation-stamped flat scratch arenas and the incrementally
+// maintained net bounding boxes, the only implementations there are. The
+// committed BENCH_scale.json predates this: its `baseline` rows also ran the
+// unordered_map SPT/monotone paths and the per-move bbox recompute, and its
+// `legacy` rows (the map layouts with the guard on, bit-identical to
+// `arena`) came from a configuration that no longer exists.
+//
+// The benchmark records per-stage wall time and peak RSS for a sweep of
+// sizes, with the arena configuration extended beyond the largest size the
 // baseline can afford, and emits BENCH_scale.json.
 //
 // Gates:
 //   full run    aggregate place+replicate speedup of arena over baseline
-//               >= 2x at the largest common size; legacy/arena bit-identity
-//               at every common size.
-//   --smoke     smallest size only; bit-identity always. With
-//               --reference <committed BENCH_scale.json>, the measured
-//               speedup must stay within 10% of the committed smoke_gate
-//               speedup and the arena config's arena high-water bytes
-//               within 10% of the committed value. Both are
-//               machine-insensitive: the speedup is a ratio (a slower
-//               machine shifts both configs equally) and arena_bytes is
-//               allocator accounting, not kernel RSS (DESIGN.md §9: RSS is
-//               telemetry, never a pinned number).
+//               >= 2x at the largest common size.
+//   --smoke     smallest size only. With --reference <committed
+//               BENCH_scale.json>, the measured speedup must stay within
+//               10% of the committed smoke_gate speedup and the arena
+//               config's arena high-water bytes within 10% of the committed
+//               value. Both are machine-insensitive: the speedup is a ratio
+//               (a slower machine shifts both configs equally) and
+//               arena_bytes is allocator accounting, not kernel RSS
+//               (DESIGN.md §9: RSS is telemetry, never a pinned number).
 
 #include <cmath>
 #include <cstdint>
@@ -101,13 +93,10 @@ std::uint64_t placement_fingerprint(const Netlist& nl, const Placement& pl) {
 
 struct Config {
   const char* name;
-  bool flat;              ///< arena data layouts (vs pre-PR maps/allocs)
   int region_points;      ///< EngineOptions::max_region_points
 };
 constexpr int kRegionGuard = 4096;
-constexpr Config kConfigs[] = {{"baseline", false, 0},
-                               {"legacy", false, kRegionGuard},
-                               {"arena", true, kRegionGuard}};
+constexpr Config kConfigs[] = {{"baseline", 0}, {"arena", kRegionGuard}};
 
 struct StageResult {
   double seconds = 0;
@@ -160,7 +149,6 @@ ConfigResult run_config(const Netlist& gen_nl, const FpgaGrid& grid,
   AnnealerOptions aopt;
   aopt.inner_num = 0.1;  // bench knob: keeps 1e5-cell anneals in minutes
   aopt.seed = seed * 977 + 13;
-  aopt.incremental_bbox = c.flat;
   Placement pl = anneal_placement(nl, grid, dm, aopt);
   out.place.seconds = bench::now_seconds() - t0;
   out.place.peak_rss = peak_rss_bytes();
@@ -172,14 +160,13 @@ ConfigResult run_config(const Netlist& gen_nl, const FpgaGrid& grid,
   eopt.variant = EmbedVariant::kLex3;
   eopt.max_iterations = 4;  // bench knob: bounded optimization effort
   eopt.max_stagnant_iterations = 4;
-  // Bench knobs (same for every config; both existed pre-PR): modest trees
-  // and short Pareto lists bound the embedding DP per call. The region
-  // guard is this PR's scale fix, so it is off in the pre-PR baseline.
+  // Bench knobs (same for every config): modest trees and short Pareto
+  // lists bound the embedding DP per call. The region guard is what the
+  // configs compare, so it is off in the baseline.
   eopt.max_tree_internal = 64;
   eopt.max_labels = 8;
   eopt.max_region_points = c.region_points;
   eopt.num_threads = 1;
-  eopt.flat_scratch = c.flat;
   EngineResult r = run_replication_engine(nl, pl, dm, eopt);
   out.replicate.seconds = bench::now_seconds() - t0;
   out.replicate.peak_rss = peak_rss_bytes();
@@ -256,7 +243,7 @@ int main(int argc, char** argv) {
   std::vector<SizeResult> results;
   int failures = 0;
 
-  auto run_size = [&](int num_logic, bool both) {
+  auto run_size = [&](int num_logic, bool with_baseline) {
     SizeResult sr;
     sr.num_logic = num_logic;
     reset_peak_rss();
@@ -268,7 +255,7 @@ int main(int argc, char** argv) {
     FpgaGrid grid(FpgaGrid::min_grid_for(
         nl.num_logic(), nl.num_input_pads() + nl.num_output_pads()));
     for (const Config& c : kConfigs) {
-      if (!c.flat && !both) continue;
+      if (c.region_points == 0 && !with_baseline) continue;
       sr.configs.push_back(run_config(nl, grid, c, seed));
       const ConfigResult& cr = sr.configs.back();
       std::printf(
@@ -281,25 +268,6 @@ int main(int argc, char** argv) {
           static_cast<long long>(cr.wirelength),
           static_cast<unsigned long long>(cr.netlist_fp));
       std::fflush(stdout);
-    }
-    if (both) {
-      const ConfigResult* lg = find_config(sr, "legacy");
-      const ConfigResult* ar = find_config(sr, "arena");
-      if (lg->netlist_fp != ar->netlist_fp ||
-          lg->placement_fp != ar->placement_fp ||
-          lg->history_fp != ar->history_fp || lg->wirelength != ar->wirelength ||
-          lg->routed_delay != ar->routed_delay) {
-        std::fprintf(stderr,
-                     "FAIL n=%d: arena layout not bit-identical to legacy "
-                     "(nl %016llx/%016llx pl %016llx/%016llx hist %016llx/%016llx)\n",
-                     num_logic, static_cast<unsigned long long>(lg->netlist_fp),
-                     static_cast<unsigned long long>(ar->netlist_fp),
-                     static_cast<unsigned long long>(lg->placement_fp),
-                     static_cast<unsigned long long>(ar->placement_fp),
-                     static_cast<unsigned long long>(lg->history_fp),
-                     static_cast<unsigned long long>(ar->history_fp));
-        ++failures;
-      }
     }
     results.push_back(std::move(sr));
   };
@@ -388,11 +356,10 @@ int main(int argc, char** argv) {
                "  \"aggregate_place_replicate_speedup\": %.2f,\n"
                "  \"smoke_gate\": {\"smoke_speedup\": %.2f, "
                "\"smoke_arena_bytes\": %llu},\n"
-               "  \"note\": \"baseline = pre-PR layout (flat_scratch=false, "
-               "incremental_bbox=false); results are bit-identical between "
-               "configs; rss/seconds are machine-dependent telemetry, the CI "
-               "gate compares the speedup ratio and deterministic arena "
-               "high-water bytes\",\n  \"sizes\": [\n",
+               "  \"note\": \"baseline = no embedding-region guard "
+               "(max_region_points=0); rss/seconds are machine-dependent "
+               "telemetry, the CI gate compares the speedup ratio and "
+               "deterministic arena high-water bytes\",\n  \"sizes\": [\n",
                smoke ? "true" : "false", largest.num_logic, speedup,
                smoke_speedup, static_cast<unsigned long long>(smoke_arena));
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -1,7 +1,6 @@
 #include "eco/session_manager.h"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 
 #include "gen/circuit_gen.h"
@@ -40,34 +39,22 @@ bool variant_from_name(const std::string& name, EmbedVariant* out) {
   return true;
 }
 
-void write_file_atomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) throw EcoError("eco session: cannot open " + tmp + " for writing");
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw EcoError("eco session: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw EcoError("eco session: cannot rename " + tmp + " to " + path);
+// Session files use the serve layer's atomic writer and whole-file reader;
+// their failures surface as EcoError like every other session error.
+void write_session_file(const std::string& path, const std::string& bytes) {
+  try {
+    write_file_atomic(path, bytes);
+  } catch (const SnapshotError& e) {
+    throw EcoError(std::string("eco session: ") + e.what());
   }
 }
 
-std::string read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw EcoError("eco session: cannot open " + path);
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) throw EcoError("eco session: read error on " + path);
-  return bytes;
+std::string read_session_file(const std::string& path) {
+  try {
+    return read_file_bytes(path);
+  } catch (const SnapshotError& e) {
+    throw EcoError(std::string("eco session: ") + e.what());
+  }
 }
 
 /// The deterministic per-op fields every successful result line carries.
@@ -174,7 +161,7 @@ std::string SessionManager::session_path(const std::string& id) const {
 
 void SessionManager::persist(const EcoSession& s) {
   if (opt_.sessions_dir.empty()) return;
-  write_file_atomic(session_path(s.id()), s.serialize());
+  write_session_file(session_path(s.id()), s.serialize());
 }
 
 EcoSession* SessionManager::find(const std::string& id) {
@@ -224,7 +211,7 @@ std::string SessionManager::handle_open(const SessionOp& op) {
       std::filesystem::exists(std::filesystem::path(path))) {
     // A persisted file under this id wins over the spec on the line: the
     // stream is continuing a session an earlier server run left behind.
-    s = EcoSession::resume(read_file(path), sopt);
+    s = EcoSession::resume(read_session_file(path), sopt);
     resumed = true;
   } else if (!op.from_checkpoint.empty()) {
     s = std::make_unique<EcoSession>(op.session,

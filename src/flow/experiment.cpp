@@ -1,5 +1,6 @@
 #include "flow/experiment.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -20,25 +21,37 @@ double now_seconds() {
 
 }  // namespace
 
-double env_double(const char* name, double fallback, double min_exclusive) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
+bool parse_double(const char* s, double* out) {
+  if (!s || !*s) return false;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
+  if (*end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_long(const char* s, long* out) {
+  if (!s || !*s) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+double env_double(const char* name, double fallback, double min_exclusive) {
   // Reject trailing garbage, non-finite values and out-of-range values so a
   // typo'd knob degrades to the default instead of silently zeroing a scale
   // or aborting a batch.
-  if (end == s || *end != '\0' || !std::isfinite(v) || v <= min_exclusive)
-    return fallback;
+  double v;
+  if (!parse_double(std::getenv(name), &v) || v <= min_exclusive) return fallback;
   return v;
 }
 
 long env_long(const char* name, long fallback, long min_inclusive) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < min_inclusive) return fallback;
+  long v;
+  if (!parse_long(std::getenv(name), &v) || v < min_inclusive) return fallback;
   return v;
 }
 
@@ -66,12 +79,6 @@ FlowConfig config_from_env() {
       LOG_WARN() << "REPRO_PLACER=" << v << " not one of annealer|analytic|hybrid; "
                  << "placer stays " << placer_backend_name(cfg.placer);
   }
-  if (const char* v = std::getenv("REPRO_ROUTE_ASTAR"))
-    cfg.router.use_astar = v[0] != '0';
-  if (const char* v = std::getenv("REPRO_ROUTE_INCREMENTAL"))
-    cfg.router.incremental_reroute = v[0] != '0';
-  if (const char* v = std::getenv("REPRO_ROUTE_WARM"))
-    cfg.router.warm_start_wmin = v[0] != '0';
   return cfg;
 }
 

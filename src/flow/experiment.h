@@ -51,14 +51,18 @@ struct FlowConfig {
   AuditLevel audit = AuditLevel::kOff;
 };
 
-/// Reads REPRO_SCALE / REPRO_QUICK / REPRO_THREADS environment variables so
-/// the bench binaries can be re-run at other scales without rebuilding.
-/// Router fast-path knobs: REPRO_ROUTE_ASTAR / REPRO_ROUTE_INCREMENTAL /
-/// REPRO_ROUTE_WARM (each 0 or 1) toggle RouterOptions::use_astar /
-/// incremental_reroute / warm_start_wmin. Malformed values (trailing
+/// Reads the REPRO_SCALE / REPRO_QUICK / REPRO_THREADS / REPRO_AUDIT /
+/// REPRO_PLACER environment variables so the bench binaries can be re-run
+/// at other settings without rebuilding. Malformed values (trailing
 /// garbage, non-finite, out of range) fall back to the defaults — a bad
 /// knob must never abort or zero a batch.
 FlowConfig config_from_env();
+
+/// Strict numeric parsing for env knobs and command-line flags: true only
+/// when the whole string is one finite number (a base-10 integer in range
+/// for parse_long); *out is left untouched otherwise.
+bool parse_double(const char* s, double* out);
+bool parse_long(const char* s, long* out);
 
 /// Validated env parsing shared with the serve layer: returns `fallback`
 /// unless the variable parses cleanly and exceeds `min_exclusive` (for

@@ -102,10 +102,10 @@ bool bb_remove(NetBB& t, Point p) {
   return true;
 }
 
-/// One pin instance displaced by the current proposal. A cell contributes one
 /// Nets with fewer terminals than this take the direct-scan path.
 constexpr std::size_t kIncrementalTerms = 10;
 
+/// One pin instance displaced by the current proposal. A cell contributes one
 /// instance per pin (output plus every input occurrence), so nets connected
 /// to a cell more than once are counted with the right multiplicity.
 struct InstanceMove {
@@ -125,35 +125,32 @@ class AnnealState {
       net_wl_[n.index()] = pl.net_wirelength(n);
       wiring_cost_ += net_wl_[n.index()];
     }
-    if (opt.incremental_bbox) {
-      net_bb_.resize(nl.net_capacity());
-      for (NetId n : nl.live_net_ids())
-        if (nl.net(n).sinks.size() + 1 >= kIncrementalTerms)
-          net_bb_[n.index()] = scan_net(n);
-      // CSR of each cell's pins on incrementally-maintained nets (output
-      // first, then inputs in pin order — the order inst_moves_ saw before),
-      // so note_move on the hot path never probes net sizes.
-      big_pin_offset_.assign(nl.cell_capacity() + 1, 0);
-      std::vector<NetId> pins;
-      for (std::size_t i = 0; i < nl.cell_capacity(); ++i) {
-        big_pin_offset_[i] = static_cast<std::uint32_t>(big_pin_net_.size());
-        CellId c{static_cast<CellId::value_type>(i)};
-        if (!nl.cell_alive(c)) continue;
-        const Cell& cell = nl.cell(c);
-        if (cell.output.valid() &&
-            nl.net(cell.output).sinks.size() + 1 >= kIncrementalTerms)
-          big_pin_net_.push_back(cell.output);
-        for (NetId n : cell.inputs)
-          if (n.valid() && nl.net(n).sinks.size() + 1 >= kIncrementalTerms)
-            big_pin_net_.push_back(n);
-      }
-      big_pin_offset_[nl.cell_capacity()] =
-          static_cast<std::uint32_t>(big_pin_net_.size());
-      arena_record_peak(arena_counters().annealer_bbox_bytes,
-                        net_bb_.capacity() * sizeof(NetBB) +
-                            big_pin_offset_.capacity() * sizeof(std::uint32_t) +
-                            big_pin_net_.capacity() * sizeof(NetId));
+    net_bb_.resize(nl.net_capacity());
+    for (NetId n : nl.live_net_ids())
+      if (nl.net(n).sinks.size() + 1 >= kIncrementalTerms)
+        net_bb_[n.index()] = scan_net(n);
+    // CSR of each cell's pins on incrementally-maintained nets (output
+    // first, then inputs in pin order — the order inst_moves_ saw before),
+    // so note_move on the hot path never probes net sizes.
+    big_pin_offset_.assign(nl.cell_capacity() + 1, 0);
+    for (std::size_t i = 0; i < nl.cell_capacity(); ++i) {
+      big_pin_offset_[i] = static_cast<std::uint32_t>(big_pin_net_.size());
+      CellId c{static_cast<CellId::value_type>(i)};
+      if (!nl.cell_alive(c)) continue;
+      const Cell& cell = nl.cell(c);
+      if (cell.output.valid() &&
+          nl.net(cell.output).sinks.size() + 1 >= kIncrementalTerms)
+        big_pin_net_.push_back(cell.output);
+      for (NetId n : cell.inputs)
+        if (n.valid() && nl.net(n).sinks.size() + 1 >= kIncrementalTerms)
+          big_pin_net_.push_back(n);
     }
+    big_pin_offset_[nl.cell_capacity()] =
+        static_cast<std::uint32_t>(big_pin_net_.size());
+    arena_record_peak(arena_counters().annealer_bbox_bytes,
+                      net_bb_.capacity() * sizeof(NetBB) +
+                          big_pin_offset_.capacity() * sizeof(std::uint32_t) +
+                          big_pin_net_.capacity() * sizeof(NetId));
     if (opt.timing_driven) {
       edge_delay_.resize(tg_.num_edges(), 0.0);
       edge_weight_.resize(tg_.num_edges(), 0.0);
@@ -195,7 +192,6 @@ class AnnealState {
   /// Records that cell c moved from -> to: one instance per connected pin of
   /// an incrementally-maintained (high-fanout) net.
   void note_move(CellId c, Point from, Point to) {
-    if (!opt_.incremental_bbox) return;
     const std::uint32_t b0 = big_pin_offset_[c.index()];
     const std::uint32_t b1 = big_pin_offset_[c.index() + 1];
     for (std::uint32_t i = b0; i < b1; ++i)
@@ -210,53 +206,33 @@ class AnnealState {
                         std::vector<std::size_t>& touched_edges) {
     double dw = 0;
     new_wl.clear();
-    if (opt_.incremental_bbox) {
-      new_bb_.clear();
-      for (NetId n : touched_nets) {
-        const Net& net = nl_.net(n);
-        double wl = 0.0;
-        if (net.sinks.size() + 1 < kIncrementalTerms) {
-          // Small net: a direct allocation-free scan beats the bookkeeping.
-          new_bb_.emplace_back();
-          if (!net.sinks.empty())
-            wl = estimate_wirelength(pl_.net_bbox(n), net.sinks.size() + 1);
-        } else {
-          NetBB t = net_bb_[n.index()];
-          for (const InstanceMove& mv : inst_moves_) {
-            if (mv.net != n) continue;
-            if (!bb_remove(t, mv.from)) {
-              // A boundary emptied out. pl_ already holds every cell at its
-              // proposed position, so one rescan yields the exact final bbox;
-              // the remaining instance updates are already folded in.
-              t = scan_net(n);
-              break;
-            }
-            bb_add(t, mv.to);
+    new_bb_.clear();
+    for (NetId n : touched_nets) {
+      const Net& net = nl_.net(n);
+      double wl = 0.0;
+      if (net.sinks.size() + 1 < kIncrementalTerms) {
+        // Small net: a direct allocation-free scan beats the bookkeeping.
+        new_bb_.emplace_back();
+        if (!net.sinks.empty())
+          wl = estimate_wirelength(pl_.net_bbox(n), net.sinks.size() + 1);
+      } else {
+        NetBB t = net_bb_[n.index()];
+        for (const InstanceMove& mv : inst_moves_) {
+          if (mv.net != n) continue;
+          if (!bb_remove(t, mv.from)) {
+            // A boundary emptied out. pl_ already holds every cell at its
+            // proposed position, so one rescan yields the exact final bbox;
+            // the remaining instance updates are already folded in.
+            t = scan_net(n);
+            break;
           }
-          new_bb_.push_back(t);
-          wl = estimate_wirelength(t.bb, net.sinks.size() + 1);
+          bb_add(t, mv.to);
         }
-        new_wl.push_back(wl);
-        dw += wl - net_wl_[n.index()];
+        new_bb_.push_back(t);
+        wl = estimate_wirelength(t.bb, net.sinks.size() + 1);
       }
-    } else {
-      // Pre-PR layout, kept as the baseline configuration of
-      // bench/microbench_scale: the original annealer recomputed each
-      // touched net's bbox from a materialized terminal list, paying one
-      // vector allocation per touched net per proposal. Bit-identical to
-      // the incremental path (same bbox, same estimate).
-      for (NetId n : touched_nets) {
-        const Net& net = nl_.net(n);
-        double wl = 0.0;
-        if (!net.sinks.empty()) {
-          std::vector<Point> pts = pl_.net_terminals(n);
-          Rect bb;
-          for (Point p : pts) bb.include(p);
-          wl = estimate_wirelength(bb, pts.size());
-        }
-        new_wl.push_back(wl);
-        dw += wl - net_wl_[n.index()];
-      }
+      new_wl.push_back(wl);
+      dw += wl - net_wl_[n.index()];
     }
     double dt = 0;
     new_delay.clear();
@@ -289,8 +265,7 @@ class AnnealState {
     for (std::size_t i = 0; i < touched_nets.size(); ++i) {
       wiring_cost_ += new_wl[i] - net_wl_[touched_nets[i].index()];
       net_wl_[touched_nets[i].index()] = new_wl[i];
-      if (opt_.incremental_bbox &&
-          nl_.net(touched_nets[i]).sinks.size() + 1 >= kIncrementalTerms)
+      if (nl_.net(touched_nets[i]).sinks.size() + 1 >= kIncrementalTerms)
         net_bb_[touched_nets[i].index()] = new_bb_[i];
     }
     for (std::size_t i = 0; i < touched_edges.size(); ++i) {
@@ -317,7 +292,7 @@ class AnnealState {
   const TimingGraph& tg_;
   const AnnealerOptions& opt_;
   std::vector<double> net_wl_;
-  std::vector<NetBB> net_bb_;        ///< committed boxes (incremental_bbox)
+  std::vector<NetBB> net_bb_;        ///< committed boxes of the big nets
   std::vector<std::uint32_t> big_pin_offset_;  ///< CSR: cell -> big-net pins
   std::vector<NetId> big_pin_net_;
   std::vector<NetBB> new_bb_;        ///< tentative boxes of the open proposal

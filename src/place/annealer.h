@@ -29,13 +29,6 @@ struct AnnealerOptions {
   /// circuit sizes used in the benches.
   double inner_num = 1.0;
   bool timing_driven = true;  ///< false = pure wirelength-driven VPlace
-  /// Maintain per-net bounding boxes incrementally (boundary occupancy counts
-  /// with a full rescan only when a move vacates a boundary) instead of
-  /// recomputing every touched net's bbox from its terminal list per move.
-  /// Bit-identical either way — the maintained Rect is exactly the terminal
-  /// bbox, so estimate_wirelength sees the same inputs. false selects the
-  /// recompute path, kept as the baseline of bench/microbench_scale.
-  bool incremental_bbox = true;
   std::uint64_t seed = 1;
   /// Cooperative cancellation (flow service stage timeouts): checked once
   /// per temperature and every few thousand moves; throws FlowCancelled.

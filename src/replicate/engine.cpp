@@ -182,8 +182,7 @@ IterationOutcome embed_iteration(const Netlist& nl, const Placement& pl,
   IterationOutcome out;
   const double crit = tg.critical_delay();
 
-  Spt spt = opt.flat_scratch ? extract_eps_spt(tg, sp.sink, sp.epsilon)
-                             : extract_eps_spt_legacy(tg, sp.sink, sp.epsilon);
+  Spt spt = extract_eps_spt(tg, sp.sink, sp.epsilon);
   ReplicationTree rt = build_replication_tree(tg, spt);
   out.tree_internal = rt.num_internal();
   if (rt.num_internal() == 0) {
@@ -400,8 +399,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
   {
     const TimingGraph& tg = eng.graph();
     res.initial_critical = tg.critical_delay();
-    lower_bound = opt.flat_scratch ? monotone_lower_bound(tg)
-                                   : monotone_lower_bound_legacy(tg);
+    lower_bound = monotone_lower_bound(tg);
     best.take(nl, pl, res.initial_critical);
   }
   res.lower_bound = lower_bound;
@@ -603,8 +601,7 @@ EngineResult run_replication_engine(Netlist& nl, Placement& pl,
 
     if (ff_relocation) {
       // The register moved; the monotone bound must be refreshed.
-      lower_bound = opt.flat_scratch ? monotone_lower_bound(eng.updated())
-                                     : monotone_lower_bound_legacy(eng.updated());
+      lower_bound = monotone_lower_bound(eng.updated());
       res.lower_bound = std::min(res.lower_bound, lower_bound);
     }
     assert(nl.validate().empty());

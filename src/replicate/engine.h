@@ -83,11 +83,6 @@ struct EngineOptions {
   bool aggressive_unification = true;  ///< Section V-C / VII-B strategy
   bool enable_ff_relocation = true;    ///< Section V-D
 
-  /// Use the generation-stamped arena implementations of SPT extraction and
-  /// the monotone lower bound (DESIGN.md §9). false selects the legacy
-  /// unordered_map code paths — bit-identical results, allocation churn per
-  /// call — kept as the baseline configuration of bench/microbench_scale.
-  bool flat_scratch = true;
   LegalizerOptions legalizer;
 
   /// Threads inside each embedding: sibling subtrees of the fanin tree and

@@ -16,6 +16,20 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kInfiniteCap = std::numeric_limits<int>::max();
 
+/// A* lookahead weight: per-step lower-bound cost x Manhattan distance to
+/// the sink. At 1.0 the lookahead is admissible and consistent, so path
+/// costs equal plain Dijkstra's (RouterOptions::verify_lookahead checks it).
+constexpr double kAstarFactor = 1.0;
+/// Pass-budget multiplier over RouterOptions::max_iterations. Passes after
+/// the first rip up only illegal nets, an order of magnitude cheaper than
+/// full reroutes, but resolving the last overused edge via history buildup
+/// can take more of them; without the larger budget the router concedes
+/// widths a full-reroute router legalizes. The stall abort still cuts
+/// genuinely unroutable widths short.
+constexpr double kIncrementalPassMult = 3.0;
+/// History scaling applied between warm-started W_min probes.
+constexpr double kWarmHistoryDecay = 0.5;
+
 /// Channel-graph geometry helper: edges connect 4-adjacent grid locations.
 struct ChannelGraph {
   explicit ChannelGraph(int extent) : e(extent), num_h((e - 1) * e) {}
@@ -81,34 +95,26 @@ class PathFinder {
   }
 
   /// One negotiation run at channel capacity `cap`. Starts from the current
-  /// routes/occupancy/history (empty on the first call); in incremental mode
-  /// only dirty nets (unrouted, or touching an overused edge) are rerouted.
+  /// routes/occupancy/history (empty on the first call); only dirty nets
+  /// (unrouted, or touching an overused edge) are rerouted.
   RoutingResult run(int cap) {
     RoutingResult res;
     const std::uint64_t pushes0 = pushes_, pops0 = pops_, expanded0 = expanded_;
     const std::uint64_t mismatches0 = lookahead_mismatches_;
     double present_factor = opt_.present_factor_initial;
     const int max_passes =
-        opt_.incremental_reroute
-            ? std::max(opt_.max_iterations,
-                       static_cast<int>(opt_.max_iterations *
-                                        opt_.incremental_iterations_mult))
-            : opt_.max_iterations;
+        std::max(opt_.max_iterations,
+                 static_cast<int>(opt_.max_iterations * kIncrementalPassMult));
 
     for (int pass = 0; pass < max_passes; ++pass) {
       if (opt_.cancel) opt_.cancel->check("route");
       // Occupancy index: flag overused edges, then select the nets whose
       // routes touch one (plus never-routed / partially-unrouted nets).
-      int overused_now = 0;
-      for (int e = 0; e < g_.num_edges(); ++e) {
-        overused_[e] = occupancy_[e] > cap;
-        overused_now += overused_[e];
-      }
+      for (int e = 0; e < g_.num_edges(); ++e) overused_[e] = occupancy_[e] > cap;
       to_route_.clear();
       for (NetId n : nets_) {
         const std::size_t i = n.index();
         bool need = !net_routed_[i] || net_unrouted_[i] > 0;
-        if (!need && !opt_.incremental_reroute && overused_now > 0) need = true;
         if (!need) {
           for (int e : routes_[i].edges) {
             if (overused_[e]) {
@@ -346,19 +352,18 @@ class PathFinder {
 
     double ref_cost = 0.0;
     bool ref_found = false;
-    const bool verify = opt_.verify_lookahead && opt_.use_astar;
+    const bool verify = opt_.verify_lookahead;
     if (verify)
       ref_found = dijkstra_reference(dst, region, cap, present_factor, crit, ref_cost);
 
     ++generation_;
-    const double hweight = opt_.use_astar ? opt_.astar_factor : 0.0;
     heap_.clear();
     for (int tn : tree_nodes_) {
       dist_[tn] = crit * tree_depth_[tn];
       prev_edge_[tn] = -1;
       prev_node_[tn] = -1;
       stamp_[tn] = generation_;
-      heap_.push_back({dist_[tn] + hweight * manhattan(g_.point(tn), dst),
+      heap_.push_back({dist_[tn] + kAstarFactor * manhattan(g_.point(tn), dst),
                        dist_[tn], tn});
       ++pushes_;
     }
@@ -393,7 +398,7 @@ class PathFinder {
           dist_[v] = ng;
           prev_edge_[v] = e;
           prev_node_[v] = u;
-          heap_.push_back({ng + hweight * manhattan(vp, dst), ng, v});
+          heap_.push_back({ng + kAstarFactor * manhattan(vp, dst), ng, v});
           std::push_heap(heap_.begin(), heap_.end(), HeapWorse{});
           ++pushes_;
         }
@@ -610,18 +615,12 @@ int find_min_channel_width(const Netlist& nl, const Placement& pl,
   int best = hi;
   while (lo <= hi) {
     const int mid = (lo + hi) / 2;
-    RoutingResult r;
-    if (opt.warm_start_wmin) {
-      // Deliberately warm-start even from a failed probe's state: the
-      // history accumulated while a tighter width thrashed marks exactly
-      // the contested channels, which speeds up the wider retry.
-      pf.decay_history(opt.warm_history_decay);
-      r = pf.run(mid);
-    } else {
-      PathFinder cold(nl, pl, opt, no_crit);
-      r = cold.run(mid);
-    }
-    record(mid, opt.warm_start_wmin, r);
+    // Deliberately warm-start even from a failed probe's state: the history
+    // accumulated while a tighter width thrashed marks exactly the contested
+    // channels, which speeds up the wider retry.
+    pf.decay_history(kWarmHistoryDecay);
+    const RoutingResult r = pf.run(mid);
+    record(mid, true, r);
     if (r.success) {
       best = mid;
       hi = mid - 1;
@@ -633,20 +632,18 @@ int find_min_channel_width(const Netlist& nl, const Placement& pl,
   // A warm-started probe can legalize a width that a from-scratch router
   // would not (it starts from a nearly legal solution). Callers route() the
   // returned width cold, so verify it cold and bump if needed.
-  if (opt.warm_start_wmin) {
-    const int limit = std::max(best, st.upper_bound) + 8;
-    for (; best <= limit; ++best) {
-      RouterOptions vopt = base_opt;
-      vopt.channel_width = best;
-      RoutingResult v = route(nl, pl, vopt);
-      record(best, false, v);
-      if (v.success) break;
-      ++st.cold_verify_retries;
-    }
-    if (best > limit)
-      LOG_WARN() << "find_min_channel_width: cold verification failed up to width "
-                 << limit;
+  const int limit = std::max(best, st.upper_bound) + 8;
+  for (; best <= limit; ++best) {
+    RouterOptions vopt = base_opt;
+    vopt.channel_width = best;
+    RoutingResult v = route(nl, pl, vopt);
+    record(best, false, v);
+    if (v.success) break;
+    ++st.cold_verify_retries;
   }
+  if (best > limit)
+    LOG_WARN() << "find_min_channel_width: cold verification failed up to width "
+               << limit;
   st.wmin = best;
   return best;
 }

@@ -17,6 +17,9 @@ struct RouterOptions {
   /// Channel width (tracks per channel). <= 0 means infinite resources —
   /// the paper's W-infinity evaluation mode.
   int channel_width = 0;
+  /// Negotiation pass budget, scaled by 3 inside the router: each pass after
+  /// the first rips up and reroutes only the nets on overused edges, so the
+  /// endgame needs more (far cheaper) passes than a full-reroute router.
   int max_iterations = 30;
   /// Present-congestion penalty growth per iteration.
   double present_factor_initial = 0.5;
@@ -24,38 +27,9 @@ struct RouterOptions {
   /// History cost increment for overused edges.
   double history_increment = 1.0;
 
-  /// A* directed expansion: add an admissible lookahead (per-step lower-bound
-  /// cost x Manhattan distance to the sink) to the maze search priority. With
-  /// astar_factor == 1.0 the lookahead is admissible and consistent, so path
-  /// costs are identical to plain Dijkstra (see verify_lookahead); it only
-  /// prunes expansion order.
-  bool use_astar = true;
-  /// Lookahead weight. 1.0 = admissible/exact; > 1.0 trades optimality for
-  /// speed (VPR's astar_fac). Keep at 1.0 for reproducible quality.
-  double astar_factor = 1.0;
-
-  /// Incremental negotiation: after the first iteration rip up and reroute
-  /// only nets that touch an overused edge (VPR's "reroute only illegal
-  /// nets") instead of every net every iteration.
-  bool incremental_reroute = true;
-  /// Pass-budget multiplier in incremental mode. Incremental endgame passes
-  /// touch a handful of nets (an order of magnitude cheaper than full
-  /// reroute passes), but resolving the last overused edge via history
-  /// buildup can take more of them; without the larger budget the
-  /// incremental router concedes widths the full-reroute router can
-  /// legalize. The stall abort still cuts genuinely unroutable widths short.
-  double incremental_iterations_mult = 3.0;
-
-  /// Warm-started W_min search: find_min_channel_width() keeps one
-  /// PathFinder alive across binary-search probes, reusing routes and decayed
-  /// history as the starting point for the next width.
-  bool warm_start_wmin = true;
-  /// History scaling applied between warm-started W_min probes.
-  double warm_history_decay = 0.5;
-
   /// Stall detector: declare a negotiation failed when the best overused-edge
   /// count of the last `stall_abort_window` passes is no better than that of
-  /// the window before it (0 = never abort early, always run max_iterations).
+  /// the window before it (0 = never abort early, always run the pass budget).
   /// Only fires while more than `stall_abort_min_overused` edges are overused:
   /// low-overuse endgames converge slowly but reliably via history buildup,
   /// while high-overuse plateaus indicate an unroutable width. Failing W_min
@@ -217,10 +191,10 @@ using ConnectionCriticalityFn = std::function<double(CellId sink, int pin)>;
 ///
 /// Model: routing resources are the channels between adjacent grid locations
 /// (4-neighbor); each channel holds `channel_width` tracks. A net is routed
-/// as a Steiner tree grown sink-by-sink with congestion-aware maze expansion
-/// (A*-directed by default); PathFinder negotiation (present + history
-/// costs) resolves overuse across iterations, ripping up only illegal nets
-/// after the first pass. With a criticality function, critical connections
+/// as a Steiner tree grown sink-by-sink with A*-directed, congestion-aware
+/// maze expansion; PathFinder negotiation (present + history costs)
+/// resolves overuse across iterations, ripping up only illegal nets after
+/// the first pass. With a criticality function, critical connections
 /// minimize their source-to-sink tree length (attaching near the driver)
 /// while non-critical ones share freely — reproducing the mechanism behind
 /// the paper's W_ls vs W_infinity comparison: under low-stress capacities,
@@ -230,10 +204,10 @@ RoutingResult route(const Netlist& nl, const Placement& pl, const RouterOptions&
 
 /// Smallest channel width that routes successfully. Binary search seeded by
 /// the infinite-resource peak occupancy (upper bound) and a bbox cut-density
-/// bound (lower bound); with opt.warm_start_wmin the probes share one
-/// persistent PathFinder whose routes and decayed history warm-start each
-/// width, and the returned width is verified with a from-scratch route so it
-/// is always reproducible by route(). Pass `stats` to collect the search's
+/// bound (lower bound); the probes share one persistent PathFinder whose
+/// routes and decayed history warm-start each width, and the returned width
+/// is verified with a from-scratch route so it is always reproducible by
+/// route(). Pass `stats` to collect the search's
 /// hardware-independent work counters.
 int find_min_channel_width(const Netlist& nl, const Placement& pl,
                            const RouterOptions& base_opt = {},

@@ -148,6 +148,45 @@ namespace {
 
 // ---- config / metrics blocks ------------------------------------------------
 
+// Six router fields of format v2 name modes that no longer exist: A*
+// expansion, incremental rip-up and warm-started W_min probes are now the
+// router's only behavior, with their tuning constants fixed. The bytes keep
+// their positions and hold those fixed values, so the layout (and every
+// checksum over it) is unchanged. A snapshot that recorded any other value
+// was produced by a removed configuration and cannot be reproduced, so it
+// is refused.
+struct RemovedRouterField {
+  const char* name;
+  bool is_flag;  ///< serialized as a boolean that must be true, else as f64
+  double value;
+};
+constexpr RemovedRouterField kRemovedRouterFields[] = {
+    {"use_astar", true, 0},
+    {"astar_factor", false, 1.0},
+    {"incremental_reroute", true, 0},
+    {"incremental_iterations_mult", false, 3.0},
+    {"warm_start_wmin", true, 0},
+    {"warm_history_decay", false, 0.5},
+};
+
+void save_removed_router_fields(ByteWriter& w) {
+  for (const RemovedRouterField& f : kRemovedRouterFields) {
+    if (f.is_flag)
+      w.boolean(true);
+    else
+      w.f64(f.value);
+  }
+}
+
+void check_removed_router_fields(ByteReader& r) {
+  for (const RemovedRouterField& f : kRemovedRouterFields) {
+    const bool ok = f.is_flag ? r.boolean() : r.f64() == f.value;
+    if (!ok)
+      throw SnapshotError(std::string("snapshot: router.") + f.name +
+                          " selects a removed router mode");
+  }
+}
+
 void save_config(const FlowConfig& cfg, ByteWriter& w) {
   w.f64(cfg.scale);
   // Placement backend + analytic knobs (format v2). Everything that affects
@@ -187,12 +226,7 @@ void save_config(const FlowConfig& cfg, ByteWriter& w) {
   w.f64(r.present_factor_initial);
   w.f64(r.present_factor_mult);
   w.f64(r.history_increment);
-  w.boolean(r.use_astar);
-  w.f64(r.astar_factor);
-  w.boolean(r.incremental_reroute);
-  w.f64(r.incremental_iterations_mult);
-  w.boolean(r.warm_start_wmin);
-  w.f64(r.warm_history_decay);
+  save_removed_router_fields(w);
   w.i32(r.stall_abort_window);
   w.i32(r.stall_abort_min_overused);
   w.i64(r.max_expansions_per_connection);
@@ -247,12 +281,7 @@ FlowConfig load_config(ByteReader& r) {
   ro.present_factor_initial = r.f64_finite("router.present_factor_initial");
   ro.present_factor_mult = r.f64_finite("router.present_factor_mult");
   ro.history_increment = r.f64_finite("router.history_increment");
-  ro.use_astar = r.boolean();
-  ro.astar_factor = r.f64_finite("router.astar_factor");
-  ro.incremental_reroute = r.boolean();
-  ro.incremental_iterations_mult = r.f64_finite("router.incremental_iterations_mult");
-  ro.warm_start_wmin = r.boolean();
-  ro.warm_history_decay = r.f64_finite("router.warm_history_decay");
+  check_removed_router_fields(r);
   ro.stall_abort_window = r.i32();
   ro.stall_abort_min_overused = r.i32();
   ro.max_expansions_per_connection = r.i64();

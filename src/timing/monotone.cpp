@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/stats.h"
@@ -123,48 +121,6 @@ double monotone_lower_bound(const TimingGraph& tg) {
   double bound = 0;
   for (TimingNodeId s : tg.sinks())
     bound = std::max(bound, monotone_lower_bound_for_sink(tg, s));
-  return bound;
-}
-
-double monotone_lower_bound_for_sink_legacy(const TimingGraph& tg, TimingNodeId sink) {
-  std::unordered_map<TimingNodeId, int> maxlev;
-  std::queue<TimingNodeId> q;
-  maxlev[sink] = 0;
-  q.push(sink);
-  while (!q.empty()) {
-    TimingNodeId n = q.front();
-    q.pop();
-    int lev_through_n =
-        maxlev[n] + (tg.node(n).kind == TimingNodeKind::kComb ? 1 : 0);
-    for (std::size_t e : tg.fanin_edges(n)) {
-      TimingNodeId f = tg.edge(e).from;
-      auto it = maxlev.find(f);
-      if (it == maxlev.end() || lev_through_n > it->second) {
-        maxlev[f] = lev_through_n;
-        q.push(f);
-      }
-    }
-  }
-
-  const Placement& pl = tg.placement();
-  const LinearDelayModel& dm = tg.delay_model();
-  Point t_loc = pl.location(tg.node(sink).cell);
-  double intrinsic_t = tg.node_intrinsic_delay(sink);
-  double bound = 0;
-  for (const auto& [n, lev] : maxlev) {
-    if (tg.node(n).kind != TimingNodeKind::kSource) continue;
-    Point s_loc = pl.location(tg.node(n).cell);
-    double b = tg.arrival(n) + dm.wire_delay(s_loc, t_loc) + lev * dm.logic_delay +
-               intrinsic_t;
-    bound = std::max(bound, b);
-  }
-  return bound;
-}
-
-double monotone_lower_bound_legacy(const TimingGraph& tg) {
-  double bound = 0;
-  for (TimingNodeId s : tg.sinks())
-    bound = std::max(bound, monotone_lower_bound_for_sink_legacy(tg, s));
   return bound;
 }
 

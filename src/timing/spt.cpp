@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <queue>
-#include <unordered_map>
 
 #include "util/stats.h"
 
@@ -185,94 +183,6 @@ Spt extract_eps_spt(const TimingGraph& tg, TimingNodeId root, double eps) {
   // `order` visits fanouts before fanins, so parents appear before children
   // already (the successor of any member has strictly larger arrival+dist and
   // is itself a member, and is popped earlier).
-  assert(!spt.nodes.empty() && spt.nodes.front() == root);
-  spt.build_index();
-  return spt;
-}
-
-Spt extract_eps_spt_legacy(const TimingGraph& tg, TimingNodeId root, double eps) {
-  Spt spt;
-  spt.root = root;
-
-  // 1. Collect the fanin cone of root (backward BFS).
-  std::unordered_map<TimingNodeId, char> in_cone;
-  {
-    std::queue<TimingNodeId> q;
-    q.push(root);
-    in_cone[root] = 1;
-    while (!q.empty()) {
-      TimingNodeId n = q.front();
-      q.pop();
-      for (std::size_t e : tg.fanin_edges(n)) {
-        TimingNodeId f = tg.edge(e).from;
-        if (!in_cone.count(f)) {
-          in_cone[f] = 1;
-          q.push(f);
-        }
-      }
-    }
-  }
-
-  // 2. Longest distance to root over cone nodes, and the argmax successor.
-  std::unordered_map<TimingNodeId, int> outdeg;
-  for (const auto& [n, _] : in_cone) {
-    int d = 0;
-    for (std::size_t e : tg.fanout_edges(n))
-      if (in_cone.count(tg.edge(e).to)) ++d;
-    outdeg[n] = d;
-  }
-  std::unordered_map<TimingNodeId, double> dist;
-  std::unordered_map<TimingNodeId, TimingNodeId> succ;
-  std::unordered_map<TimingNodeId, int> succ_pin;
-  std::vector<TimingNodeId> order;  // root-first reverse topological order
-  std::vector<TimingNodeId> stack;
-  // The root is the unique cone node with no cone-internal fanout; any other
-  // such node cannot reach the root and is dropped.
-  for (auto& [n, d] : outdeg)
-    if (d == 0) stack.push_back(n);
-  std::unordered_map<TimingNodeId, char> reaches_root;
-  dist[root] = 0.0;
-  reaches_root[root] = 1;
-  while (!stack.empty()) {
-    TimingNodeId n = stack.back();
-    stack.pop_back();
-    order.push_back(n);
-    if (reaches_root.count(n)) {
-      for (std::size_t e : tg.fanin_edges(n)) {
-        TimingNodeId f = tg.edge(e).from;
-        if (!in_cone.count(f)) continue;
-        double cand = tg.edge(e).delay + dist[n];
-        auto it = dist.find(f);
-        if (it == dist.end() || cand > it->second) {
-          dist[f] = cand;
-          succ[f] = n;
-          succ_pin[f] = tg.edge(e).pin;
-          reaches_root[f] = 1;
-        }
-      }
-    }
-    for (std::size_t e : tg.fanin_edges(n)) {
-      TimingNodeId f = tg.edge(e).from;
-      auto it = outdeg.find(f);
-      if (it != outdeg.end() && --it->second == 0) stack.push_back(f);
-    }
-  }
-
-  // 3. Membership: same threshold rule as the arena path.
-  const double threshold = tg.arrival(root) - eps;
-  for (TimingNodeId n : order) {
-    if (!reaches_root.count(n)) continue;
-    if (n != root && tg.arrival(n) + dist[n] + 1e-12 < threshold) continue;
-    spt.nodes.push_back(n);
-    spt.dist_.push_back(dist[n]);
-    if (n != root) {
-      spt.parent_.push_back(succ[n]);
-      spt.parent_pin_.push_back(succ_pin[n]);
-    } else {
-      spt.parent_.push_back(TimingNodeId::invalid());
-      spt.parent_pin_.push_back(-1);
-    }
-  }
   assert(!spt.nodes.empty() && spt.nodes.front() == root);
   spt.build_index();
   return spt;

@@ -61,8 +61,6 @@ struct Spt {
 
  private:
   friend Spt extract_eps_spt(const TimingGraph& tg, TimingNodeId root, double eps);
-  friend Spt extract_eps_spt_legacy(const TimingGraph& tg, TimingNodeId root,
-                                    double eps);
 
   /// Member slot of n (position in `nodes`), or -1 (binary search over the
   /// sorted node-id index).
@@ -88,12 +86,7 @@ struct Spt {
 /// The cone-sized working state lives in a thread-local generation-stamped
 /// arena reused across calls (no per-call allocation once warmed up); the
 /// returned Spt owns only its compact member arrays. Bit-identical to the
-/// legacy variant below on every input.
+/// map-based reference in tests/reference_timing.h on every input.
 Spt extract_eps_spt(const TimingGraph& tg, TimingNodeId root, double eps);
-
-/// The pre-arena reference implementation (unordered_map working state,
-/// allocating per call). Kept as the baseline configuration of
-/// bench/microbench_scale and as the differential-testing oracle.
-Spt extract_eps_spt_legacy(const TimingGraph& tg, TimingNodeId root, double eps);
 
 }  // namespace repro

@@ -83,29 +83,29 @@ TEST(FlowConfig, ThreadsOverrideAndInvalidFallback) {
   }
 }
 
-TEST(FlowConfig, RouterFastPathKnobs) {
-  EnvGuard g1("REPRO_ROUTE_ASTAR");
-  EnvGuard g2("REPRO_ROUTE_INCREMENTAL");
-  EnvGuard g3("REPRO_ROUTE_WARM");
-  unsetenv("REPRO_ROUTE_ASTAR");
-  unsetenv("REPRO_ROUTE_INCREMENTAL");
-  unsetenv("REPRO_ROUTE_WARM");
+// The strict parsers behind the env knobs and the tools' numeric flags:
+// the whole string must be one finite number.
+TEST(FlowConfig, StrictNumberParsing) {
+  double d = -1;
+  EXPECT_TRUE(parse_double("0.05", &d));
+  EXPECT_DOUBLE_EQ(d, 0.05);
+  for (const char* bad : {"", "abc", "0.05x", "1,5", "nan", "inf", "1e999"}) {
+    d = -1;
+    EXPECT_FALSE(parse_double(bad, &d)) << bad;
+    EXPECT_EQ(d, -1) << bad;
+  }
+  EXPECT_FALSE(parse_double(nullptr, &d));
 
-  setenv("REPRO_ROUTE_ASTAR", "0", 1);
-  setenv("REPRO_ROUTE_INCREMENTAL", "0", 1);
-  setenv("REPRO_ROUTE_WARM", "0", 1);
-  FlowConfig off = config_from_env();
-  EXPECT_FALSE(off.router.use_astar);
-  EXPECT_FALSE(off.router.incremental_reroute);
-  EXPECT_FALSE(off.router.warm_start_wmin);
-
-  setenv("REPRO_ROUTE_ASTAR", "1", 1);
-  setenv("REPRO_ROUTE_INCREMENTAL", "1", 1);
-  setenv("REPRO_ROUTE_WARM", "1", 1);
-  FlowConfig on = config_from_env();
-  EXPECT_TRUE(on.router.use_astar);
-  EXPECT_TRUE(on.router.incremental_reroute);
-  EXPECT_TRUE(on.router.warm_start_wmin);
+  long l = -1;
+  EXPECT_TRUE(parse_long("42", &l));
+  EXPECT_EQ(l, 42);
+  EXPECT_TRUE(parse_long("-3", &l));
+  EXPECT_EQ(l, -3);
+  for (const char* bad : {"", "two", "2x", "2.5", "1e3", "99999999999999999999"}) {
+    l = -1;
+    EXPECT_FALSE(parse_long(bad, &l)) << bad;
+    EXPECT_EQ(l, -1) << bad;
+  }
 }
 
 TEST(FlowConfig, PlacerBackendOverride) {

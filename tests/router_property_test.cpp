@@ -99,17 +99,22 @@ TEST_P(RouterSweep, InfiniteWirelengthLowerBoundsConstrained) {
 }
 
 TEST_P(RouterSweep, WminAgreesAcrossSearchModes) {
-  // The fast path (A*, incremental rip-up, warm-started probes, stall abort)
-  // must find the same minimum width as the conservative full search.
+  // The W_min search (warm-started probes, stall abort) must find the same
+  // minimum width as a brute-force scan: the smallest width whose cold
+  // route() succeeds with the stall abort off. On these seeds the scan also
+  // equals the W_min of the removed conservative search (Dijkstra
+  // expansion, full rip-up, cold probes).
   Rig rig(GetParam());
-  RouterOptions fast;  // defaults: all fast-path features on
-  RouterOptions conservative;
-  conservative.use_astar = false;
-  conservative.incremental_reroute = false;
-  conservative.warm_start_wmin = false;
-  conservative.stall_abort_window = 0;
-  EXPECT_EQ(find_min_channel_width(rig.nl, rig.pl, fast),
-            find_min_channel_width(rig.nl, rig.pl, conservative));
+  RouterOptions scan;
+  scan.stall_abort_window = 0;
+  int brute = 0;
+  for (scan.channel_width = 1;; ++scan.channel_width) {
+    if (route(rig.nl, rig.pl, scan).success) {
+      brute = scan.channel_width;
+      break;
+    }
+  }
+  EXPECT_EQ(find_min_channel_width(rig.nl, rig.pl), brute);
 }
 
 TEST_P(RouterSweep, SelfCheckedRouteAtWmin) {

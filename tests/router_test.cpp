@@ -41,6 +41,17 @@ struct SeededPlaced {
         }()) {}
 };
 
+/// Reference W_min through the public API only: the smallest width whose
+/// cold route() succeeds with the stall abort off (every width gets the
+/// full pass budget). On these fixtures it equals the W_min of the removed
+/// conservative search (Dijkstra expansion, full rip-up, cold probes).
+int brute_force_wmin(const Netlist& nl, const Placement& pl) {
+  RouterOptions opt;
+  opt.stall_abort_window = 0;
+  for (opt.channel_width = 1;; ++opt.channel_width)
+    if (route(nl, pl, opt).success) return opt.channel_width;
+}
+
 TEST(Router, InfiniteResourcesRouteEverything) {
   TinyPlaced t;
   RouterOptions opt;
@@ -198,21 +209,18 @@ TEST(Router, DeterministicAcrossRuns) {
 }
 
 TEST(Router, DeterministicInBothRerouteModes) {
-  // Same inputs -> bit-identical results, in incremental and full-reroute
-  // mode, including the per-pass work counters.
+  // Same inputs -> bit-identical results under incremental rip-up,
+  // including the per-pass work counters.
   SeededPlaced s;
-  for (bool incremental : {true, false}) {
-    RouterOptions opt;
-    opt.incremental_reroute = incremental;
-    opt.channel_width = 8;  // congested enough for multiple passes
-    RoutingResult a = route(s.nl, s.pl, opt);
-    RoutingResult b = route(s.nl, s.pl, opt);
-    EXPECT_EQ(a.success, b.success);
-    EXPECT_EQ(a.total_wirelength, b.total_wirelength);
-    EXPECT_EQ(a.connection_length, b.connection_length);
-    EXPECT_EQ(a.pass_stats, b.pass_stats);
-    EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
-  }
+  RouterOptions opt;
+  opt.channel_width = 8;  // congested enough for multiple passes
+  RoutingResult a = route(s.nl, s.pl, opt);
+  RoutingResult b = route(s.nl, s.pl, opt);
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.total_wirelength, b.total_wirelength);
+  EXPECT_EQ(a.connection_length, b.connection_length);
+  EXPECT_EQ(a.pass_stats, b.pass_stats);
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
 }
 
 TEST(Router, AStarMatchesDijkstraOracle) {
@@ -241,38 +249,28 @@ TEST(Router, AStarMatchesDijkstraOracle) {
 }
 
 TEST(Router, IncrementalMatchesFullRerouteWmin) {
+  // The incremental rip-up search finds the width a full-reroute search
+  // found (equal to the brute-force reference on this fixture).
   SeededPlaced s;
-  RouterOptions incr;
-  incr.incremental_reroute = true;
-  RouterOptions full;
-  full.incremental_reroute = false;
-  EXPECT_EQ(find_min_channel_width(s.nl, s.pl, incr),
-            find_min_channel_width(s.nl, s.pl, full));
+  EXPECT_EQ(find_min_channel_width(s.nl, s.pl), brute_force_wmin(s.nl, s.pl));
 }
 
 TEST(Router, WarmWminMatchesColdAndReportsStats) {
   SeededPlaced s;
-  RouterOptions warm;
-  warm.warm_start_wmin = true;
-  RouterOptions cold;
-  cold.warm_start_wmin = false;
-  WminSearchStats ws, cs;
-  const int w_warm = find_min_channel_width(s.nl, s.pl, warm, &ws);
-  const int w_cold = find_min_channel_width(s.nl, s.pl, cold, &cs);
-  EXPECT_EQ(w_warm, w_cold);
+  WminSearchStats ws;
+  const int w_warm = find_min_channel_width(s.nl, s.pl, RouterOptions{}, &ws);
+  EXPECT_EQ(w_warm, brute_force_wmin(s.nl, s.pl));
 
-  for (const WminSearchStats* st : {&ws, &cs}) {
-    EXPECT_LE(st->lower_bound, st->wmin);
-    EXPECT_LE(st->wmin, st->upper_bound);
-    ASSERT_FALSE(st->probes.empty());
-    EXPECT_EQ(st->probes.front().width, 0);  // infinite-resource seeding run
-    bool wmin_probed_ok = false;
-    for (const WminProbeStats& p : st->probes)
-      wmin_probed_ok |= p.width == st->wmin && p.success;
-    EXPECT_TRUE(wmin_probed_ok);
-    EXPECT_GT(st->nodes_expanded, 0u);
-    EXPECT_GE(st->heap_pushes, st->heap_pops);
-  }
+  EXPECT_LE(ws.lower_bound, ws.wmin);
+  EXPECT_LE(ws.wmin, ws.upper_bound);
+  ASSERT_FALSE(ws.probes.empty());
+  EXPECT_EQ(ws.probes.front().width, 0);  // infinite-resource seeding run
+  bool wmin_probed_ok = false;
+  for (const WminProbeStats& p : ws.probes)
+    wmin_probed_ok |= p.width == ws.wmin && p.success;
+  EXPECT_TRUE(wmin_probed_ok);
+  EXPECT_GT(ws.nodes_expanded, 0u);
+  EXPECT_GE(ws.heap_pushes, ws.heap_pops);
   // The warm search ends with the cold verification of the returned width.
   EXPECT_TRUE(ws.probes.back().success);
   EXPECT_EQ(ws.probes.back().width, ws.wmin);
@@ -282,7 +280,7 @@ TEST(Router, WarmWminMatchesColdAndReportsStats) {
   for (const WminProbeStats& p : ws.probes) any_warm |= p.warm;
   EXPECT_TRUE(any_warm);
   // The warm search's answer is always reproducible by a cold route().
-  RouterOptions at = warm;
+  RouterOptions at;
   at.channel_width = w_warm;
   at.self_check = true;
   EXPECT_TRUE(route(s.nl, s.pl, at).success);

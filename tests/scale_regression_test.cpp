@@ -22,6 +22,7 @@
 #include "netlist/netlist.h"
 #include "place/annealer.h"
 #include "place/placement.h"
+#include "reference_timing.h"
 #include "replicate/engine.h"
 #include "timing/monotone.h"
 #include "timing/spt.h"
@@ -219,12 +220,12 @@ TEST(GeneratorScale, DeterministicAndStructuralAt1e5Cells) {
   EXPECT_EQ(nl.num_live_nets(), nl.live_nets().size());
 }
 
-// ---- flat vs legacy differentials at anneal scale ------------------------
+// ---- arena vs map-based reference at anneal scale -------------------------
 
 TEST(FlatVsLegacy, MonotoneBoundIdentical) {
   Placed p("apex2", 0.15, golden_annealer_options());
   TimingGraph tg(p.nl, p.pl, p.dm);
-  EXPECT_EQ(monotone_lower_bound(tg), monotone_lower_bound_legacy(tg));
+  EXPECT_EQ(monotone_lower_bound(tg), monotone_lower_bound_reference(tg));
 }
 
 TEST(FlatVsLegacy, EpsSptIdentical) {
@@ -234,40 +235,38 @@ TEST(FlatVsLegacy, EpsSptIdentical) {
   ASSERT_TRUE(sink.valid());
   for (double eps : {0.0, 0.5, 2.0, 8.0}) {
     Spt a = extract_eps_spt(tg, sink, eps);
-    Spt b = extract_eps_spt_legacy(tg, sink, eps);
+    ReferenceSpt b = extract_eps_spt_reference(tg, sink, eps);
     ASSERT_EQ(a.nodes, b.nodes) << "eps " << eps;
-    for (TimingNodeId n : a.nodes) {
-      EXPECT_EQ(a.parent(n), b.parent(n));
-      EXPECT_EQ(a.parent_pin(n), b.parent_pin(n));
-      EXPECT_EQ(a.dist_to_root(n), b.dist_to_root(n));
+    for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+      const TimingNodeId n = a.nodes[i];
+      EXPECT_EQ(a.parent(n), b.parent[i]);
+      EXPECT_EQ(a.parent_pin(n), b.parent_pin[i]);
+      EXPECT_EQ(a.dist_to_root(n), b.dist[i]);
     }
   }
 }
 
+// The incrementally maintained net bounding boxes must reproduce the
+// placements of the per-move recompute they replaced. Both values were
+// captured from a build that still had the recompute path, where the two
+// agreed bit for bit.
 TEST(FlatVsLegacy, IncrementalBboxPlacementIdentical) {
-  AnnealerOptions inc = golden_annealer_options();
-  inc.incremental_bbox = true;
-  AnnealerOptions legacy = golden_annealer_options();
-  legacy.incremental_bbox = false;
-  Placed a("apex2", 0.15, inc);
-  Placed b("apex2", 0.15, legacy);
-  EXPECT_EQ(placement_fingerprint(a.nl, a.pl), placement_fingerprint(b.nl, b.pl));
-  EXPECT_EQ(a.pl.total_wirelength(), b.pl.total_wirelength());
+  Placed a("apex2", 0.15, golden_annealer_options());
+  EXPECT_EQ(placement_fingerprint(a.nl, a.pl), 0xfeb43f2e370c8840ull);
+  EXPECT_EQ(a.pl.total_wirelength(), 2574.1123000000011);
 }
 
 TEST(FlatVsLegacy, WirelengthDrivenAnnealIdentical) {
   // The wirelength-driven mode skips the incremental STA entirely; the
   // trajectory must not notice (it only reads the wiring term).
-  AnnealerOptions inc = golden_annealer_options();
-  inc.timing_driven = false;
-  AnnealerOptions legacy = inc;
-  legacy.incremental_bbox = false;
-  Placed a("apex2", 0.15, inc);
-  Placed b("apex2", 0.15, legacy);
-  EXPECT_EQ(placement_fingerprint(a.nl, a.pl), placement_fingerprint(b.nl, b.pl));
+  AnnealerOptions opt = golden_annealer_options();
+  opt.timing_driven = false;
+  Placed a("apex2", 0.15, opt);
+  EXPECT_EQ(placement_fingerprint(a.nl, a.pl), 0x1dc44ba357250bd9ull);
+  EXPECT_EQ(a.pl.total_wirelength(), 2350.1215999999999);
 }
 
-// ---- engine: layout and thread-count invariance --------------------------
+// ---- engine: thread-count invariance --------------------------------------
 
 TEST(FlatVsLegacy, EngineTrajectoryIdenticalAcrossLayoutAndThreads) {
   EngineOptions base;
@@ -278,10 +277,9 @@ TEST(FlatVsLegacy, EngineTrajectoryIdenticalAcrossLayoutAndThreads) {
   struct Run {
     std::uint64_t hist, nl_fp, pl_fp, truncations;
   };
-  auto run = [&](bool flat, int threads, int region_points) {
+  auto run = [&](int threads, int region_points) {
     Placed p("ex5p", 0.08, golden_annealer_options());
     EngineOptions eopt = base;
-    eopt.flat_scratch = flat;
     eopt.num_threads = threads;
     eopt.max_region_points = region_points;
     EngineResult r = run_replication_engine(p.nl, p.pl, p.dm, eopt);
@@ -289,34 +287,29 @@ TEST(FlatVsLegacy, EngineTrajectoryIdenticalAcrossLayoutAndThreads) {
                placement_fingerprint(p.nl, p.pl), r.region_truncations};
   };
 
-  const Run ref = run(true, 1, 0);
+  const Run ref = run(1, 0);
   EXPECT_EQ(ref.truncations, 0u);  // guard off => counter stays silent
-  for (bool flat : {true, false}) {
-    for (int threads : {1, 2, 4}) {
-      Run o = run(flat, threads, 0);
-      EXPECT_EQ(o.hist, ref.hist) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.nl_fp, ref.nl_fp) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.pl_fp, ref.pl_fp) << "flat " << flat << " threads " << threads;
-    }
+  for (int threads : {2, 4}) {
+    Run o = run(threads, 0);
+    EXPECT_EQ(o.hist, ref.hist) << "threads " << threads;
+    EXPECT_EQ(o.nl_fp, ref.nl_fp) << "threads " << threads;
+    EXPECT_EQ(o.pl_fp, ref.pl_fp) << "threads " << threads;
   }
 
   // The region guard changes which embeddings run (legitimately different
-  // results from uncapped), but must itself be deterministic across layouts
-  // and thread counts.
+  // results from uncapped), but must itself be deterministic across thread
+  // counts.
   // The cap must sit below the die's point count (ex5p at this scale is a
   // ~12x12 grid, ~144 sites) or the guard never fires; 48 points forces
   // truncation on any region spanning more than a ~7x7 window, which the
   // consumed trajectory is guaranteed to contain.
-  const Run guarded = run(true, 1, 48);
+  const Run guarded = run(1, 48);
   EXPECT_GT(guarded.truncations, 0u);
-  for (bool flat : {true, false}) {
-    for (int threads : {1, 4}) {
-      Run o = run(flat, threads, 48);
-      EXPECT_EQ(o.hist, guarded.hist) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.nl_fp, guarded.nl_fp) << "flat " << flat << " threads " << threads;
-      EXPECT_EQ(o.truncations, guarded.truncations)
-          << "flat " << flat << " threads " << threads;
-    }
+  for (int threads : {2, 4}) {
+    Run o = run(threads, 48);
+    EXPECT_EQ(o.hist, guarded.hist) << "threads " << threads;
+    EXPECT_EQ(o.nl_fp, guarded.nl_fp) << "threads " << threads;
+    EXPECT_EQ(o.truncations, guarded.truncations) << "threads " << threads;
   }
 }
 

@@ -20,6 +20,7 @@
 #include "serve/lifecycle.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
+#include "serve/wire.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 
@@ -327,6 +328,61 @@ TEST(Snapshot, RejectsOutOfRangeOccupantId) {
   }
   EXPECT_TRUE(rejected)
       << "no corrupted occupant id was rejected by the structured check";
+}
+
+// The byte layout of format v2 is pinned: the ECO chain checksum hashes
+// whole serialized snapshots, so any layout drift would move every chain.
+// Captured from the build that still had the router mode fields.
+TEST(Snapshot, DefaultConfigLayoutIsPinned) {
+  FlowSnapshot s;
+  s.job_id = "pin";
+  s.circuit = "tseng";
+  s.variant = "lex3";
+  const std::string bytes = serialize_snapshot(s);
+  EXPECT_EQ(bytes.size(), 490u);
+  EXPECT_EQ(fnv1a64(bytes), 0x37a41cabafd8c775ull);
+  EXPECT_EQ(serialize_snapshot(parse_snapshot(bytes)), bytes);
+}
+
+// The six format-v2 bytes that named removed router modes must hold the
+// fixed values; a checkpoint written with a removed mode is refused, naming
+// the field, rather than resumed under different routing.
+TEST(Snapshot, RejectsRemovedRouterModes) {
+  FlowSnapshot s;
+  s.job_id = "modes";
+  s.circuit = "tseng";
+  s.variant = "lex3";
+  // A distinctive history_increment locates the router block: the removed
+  // fields follow it (bool use_astar, then f64 astar_factor).
+  s.cfg.router.history_increment = 1.0 + std::ldexp(1.0, -40);
+  const std::string bytes = serialize_snapshot(s);
+  ASSERT_NO_THROW(parse_snapshot(bytes));
+  char pattern[8];
+  std::memcpy(pattern, &s.cfg.router.history_increment, 8);
+  const std::size_t at = bytes.find(std::string(pattern, 8));
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(std::string(pattern, 8), at + 1), std::string::npos);
+  const std::size_t use_astar = at + 8;
+  ASSERT_EQ(bytes[use_astar], 1);
+
+  auto rejection = [](std::string bad) -> std::string {
+    try {
+      parse_snapshot(refresh_header(std::move(bad)));
+    } catch (const SnapshotError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  std::string bad = bytes;
+  bad[use_astar] = 0;
+  EXPECT_NE(rejection(bad).find("router.use_astar"), std::string::npos)
+      << rejection(bad);
+
+  bad = bytes;
+  const double factor = 2.0;  // astar_factor follows the use_astar byte
+  std::memcpy(&bad[use_astar + 1], &factor, 8);
+  EXPECT_NE(rejection(bad).find("router.astar_factor"), std::string::npos)
+      << rejection(bad);
 }
 
 TEST(Jsonl, ParseJobLineRejectsNonIntegralNumbers) {

@@ -4,6 +4,7 @@
 
 #include "gen/circuit_gen.h"
 #include "place/placement.h"
+#include "reference_timing.h"
 #include "test_helpers.h"
 #include "timing/spt.h"
 #include "timing/timing_graph.h"
@@ -116,12 +117,13 @@ TEST_F(SptFixture, ChildrenInverseOfParent) {
 TEST_F(SptFixture, LegacyExtractionIsIdentical) {
   for (double eps : {0.0, 0.99, 1.5, 2.0}) {
     Spt flat = extract_eps_spt(tg, tg.sink_node(t.po0), eps);
-    Spt legacy = extract_eps_spt_legacy(tg, tg.sink_node(t.po0), eps);
+    ReferenceSpt legacy = extract_eps_spt_reference(tg, tg.sink_node(t.po0), eps);
     ASSERT_EQ(flat.nodes, legacy.nodes);
-    for (TimingNodeId n : flat.nodes) {
-      EXPECT_EQ(flat.parent(n), legacy.parent(n));
-      EXPECT_EQ(flat.parent_pin(n), legacy.parent_pin(n));
-      EXPECT_EQ(flat.dist_to_root(n), legacy.dist_to_root(n));
+    for (std::size_t i = 0; i < flat.nodes.size(); ++i) {
+      const TimingNodeId n = flat.nodes[i];
+      EXPECT_EQ(flat.parent(n), legacy.parent[i]);
+      EXPECT_EQ(flat.parent_pin(n), legacy.parent_pin[i]);
+      EXPECT_EQ(flat.dist_to_root(n), legacy.dist[i]);
     }
   }
 }

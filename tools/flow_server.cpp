@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -147,6 +148,27 @@ int usage() {
   return 2;
 }
 
+// Strict numeric flag values: a malformed or negative one is reported and
+// fails the parse (main then prints usage and exits 2).
+bool invalid(const char* flag, const char* v) {
+  std::fprintf(stderr, "flow_server: invalid value '%s' for %s\n", v, flag);
+  return false;
+}
+
+bool number(const char* flag, const char* v, double* out) {
+  double x;
+  if (!parse_double(v, &x) || x < 0) return invalid(flag, v);
+  *out = x;
+  return true;
+}
+
+bool number(const char* flag, const char* v, int* out) {
+  long x;
+  if (!parse_long(v, &x) || x < 0 || x > INT_MAX) return invalid(flag, v);
+  *out = static_cast<int>(x);
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -175,17 +197,13 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.sessions_dir = v;
     } else if (!std::strcmp(arg, "--threads")) {
-      if (!(v = need(arg))) return false;
-      a.threads = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.threads)) return false;
     } else if (!std::strcmp(arg, "--engine-threads")) {
-      if (!(v = need(arg))) return false;
-      a.engine_threads = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.engine_threads)) return false;
     } else if (!std::strcmp(arg, "--job-timeout")) {
-      if (!(v = need(arg))) return false;
-      a.job_timeout = std::atof(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.job_timeout)) return false;
     } else if (!std::strcmp(arg, "--max-retries")) {
-      if (!(v = need(arg))) return false;
-      a.max_retries = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.max_retries)) return false;
     } else if (!std::strcmp(arg, "--placer")) {
       if (!(v = need(arg))) return false;
       a.placer = v;
@@ -199,8 +217,7 @@ bool parse_args(int argc, char** argv, Args& a) {
     } else if (!std::strcmp(arg, "--eco-cold-audit")) {
       a.eco_cold_audit = true;
     } else if (!std::strcmp(arg, "--workers")) {
-      if (!(v = need(arg))) return false;
-      a.workers = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.workers)) return false;
     } else if (!std::strcmp(arg, "--listen")) {
       if (!(v = need(arg))) return false;
       a.listen = v;
@@ -208,14 +225,11 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.chaos.push_back(v);
     } else if (!std::strcmp(arg, "--heartbeat-timeout")) {
-      if (!(v = need(arg))) return false;
-      a.heartbeat_timeout = std::atof(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.heartbeat_timeout)) return false;
     } else if (!std::strcmp(arg, "--degrade-grace")) {
-      if (!(v = need(arg))) return false;
-      a.degrade_grace = std::atof(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.degrade_grace)) return false;
     } else if (!std::strcmp(arg, "--respawn-budget")) {
-      if (!(v = need(arg))) return false;
-      a.respawn_budget = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.respawn_budget)) return false;
     } else if (!std::strcmp(arg, "--worker")) {
       a.worker_mode = true;
     } else if (!std::strcmp(arg, "--connect")) {
@@ -225,11 +239,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.fault = v;
     } else if (!std::strcmp(arg, "--crash-after-checkpoints")) {
-      if (!(v = need(arg))) return false;
-      a.crash_after_checkpoints = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.crash_after_checkpoints)) return false;
     } else if (!std::strcmp(arg, "--crash-after-deltas")) {
-      if (!(v = need(arg))) return false;
-      a.crash_after_deltas = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.crash_after_deltas)) return false;
     } else {
       std::fprintf(stderr, "flow_server: unknown option '%s'\n", arg);
       return false;
@@ -349,9 +361,9 @@ std::unique_ptr<Coordinator> make_coordinator(const Args& args,
   copt.worker_faults.resize(static_cast<std::size_t>(copt.spawn_workers));
   for (const std::string& c : args.chaos) {
     const std::size_t colon = c.find(':');
-    const int slot = colon == std::string::npos ? -1
-                                                : std::atoi(c.substr(0, colon).c_str());
-    if (colon == std::string::npos || slot < 0 ||
+    long slot = -1;
+    if (colon == std::string::npos ||
+        !parse_long(c.substr(0, colon).c_str(), &slot) || slot < 0 ||
         slot >= copt.spawn_workers) {
       std::fprintf(stderr,
                    "flow_server: bad --chaos '%s' (want SLOT:FAULTSPEC with "

@@ -13,6 +13,8 @@
 // Exit code 0 on success, 1 on an internal failure (equivalence/legality), 2
 // on bad usage.
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -48,10 +50,6 @@ struct Args {
   std::string out_place;
   std::string svg;
   bool do_route = false;
-  // Router fast-path knobs (-1 = keep the FlowConfig/env default).
-  int route_astar = -1;
-  int route_incremental = -1;
-  int route_warm = -1;
   std::string audit;  // "" = leave to REPRO_AUDIT / config default
   std::string eco;    // session-op JSONL file to replay offline
   bool verbose = false;
@@ -73,9 +71,6 @@ int usage() {
       "                     columns (0 = hardware, 1 = serial; results are\n"
       "                     identical for every value)\n"
       "  --route            evaluate routed W_inf / W_ls critical paths\n"
-      "  --route-astar 0|1        A* lookahead in the maze router (default 1)\n"
-      "  --route-incremental 0|1  rip up only illegal nets per pass (default 1)\n"
-      "  --route-warm 0|1         warm-started W_min binary search (default 1)\n"
       "  --audit LEVEL      invariant auditing after place/replicate/route:\n"
       "                     off | stage | paranoid (default off, or\n"
       "                     REPRO_AUDIT); exit 3 on an audit failure\n"
@@ -89,6 +84,35 @@ int usage() {
       "  --svg FILE         write a placement/criticality SVG\n"
       "  --verbose          engine debug logging\n");
   return 2;
+}
+
+// Strict numeric flag values: a malformed or out-of-range one (a scale
+// <= 0, a negative count) is reported and fails the parse (main then prints
+// usage and exits 2).
+bool invalid(const char* flag, const char* v) {
+  std::fprintf(stderr, "replicate_tool: invalid value '%s' for %s\n", v, flag);
+  return false;
+}
+
+bool number(const char* flag, const char* v, double* out) {
+  double x;
+  if (!parse_double(v, &x) || x <= 0) return invalid(flag, v);
+  *out = x;
+  return true;
+}
+
+bool number(const char* flag, const char* v, int* out) {
+  long x;
+  if (!parse_long(v, &x) || x < 0 || x > INT_MAX) return invalid(flag, v);
+  *out = static_cast<int>(x);
+  return true;
+}
+
+bool number(const char* flag, const char* v, std::uint64_t* out) {
+  long x;
+  if (!parse_long(v, &x) || x < 0) return invalid(flag, v);
+  *out = static_cast<std::uint64_t>(x);
+  return true;
 }
 
 bool parse_args(int argc, char** argv, Args& a) {
@@ -109,11 +133,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.circuit = v;
     } else if (!std::strcmp(arg, "--scale")) {
-      if (!(v = need(arg))) return false;
-      a.scale = std::atof(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.scale)) return false;
     } else if (!std::strcmp(arg, "--seed")) {
-      if (!(v = need(arg))) return false;
-      a.seed = std::strtoull(v, nullptr, 10);
+      if (!(v = need(arg)) || !number(arg, v, &a.seed)) return false;
     } else if (!std::strcmp(arg, "--place")) {
       if (!(v = need(arg))) return false;
       a.place_in = v;
@@ -124,19 +146,9 @@ bool parse_args(int argc, char** argv, Args& a) {
       if (!(v = need(arg))) return false;
       a.variant = v;
     } else if (!std::strcmp(arg, "--threads")) {
-      if (!(v = need(arg))) return false;
-      a.threads = std::atoi(v);
+      if (!(v = need(arg)) || !number(arg, v, &a.threads)) return false;
     } else if (!std::strcmp(arg, "--route")) {
       a.do_route = true;
-    } else if (!std::strcmp(arg, "--route-astar")) {
-      if (!(v = need(arg))) return false;
-      a.route_astar = std::atoi(v);
-    } else if (!std::strcmp(arg, "--route-incremental")) {
-      if (!(v = need(arg))) return false;
-      a.route_incremental = std::atoi(v);
-    } else if (!std::strcmp(arg, "--route-warm")) {
-      if (!(v = need(arg))) return false;
-      a.route_warm = std::atoi(v);
     } else if (!std::strcmp(arg, "--audit")) {
       if (!(v = need(arg))) return false;
       a.audit = v;
@@ -195,10 +207,6 @@ int run(const Args& args) {
   FlowConfig cfg = config_from_env();
   cfg.scale = args.scale;
   cfg.seed = args.seed;
-  if (args.route_astar >= 0) cfg.router.use_astar = args.route_astar != 0;
-  if (args.route_incremental >= 0)
-    cfg.router.incremental_reroute = args.route_incremental != 0;
-  if (args.route_warm >= 0) cfg.router.warm_start_wmin = args.route_warm != 0;
   if (!args.placer.empty() && !parse_placer_backend(args.placer, &cfg.placer)) {
     std::fprintf(stderr, "replicate_tool: bad --placer backend '%s'\n",
                  args.placer.c_str());
