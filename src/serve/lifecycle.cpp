@@ -250,27 +250,44 @@ bool JobLifecycle::worker_died(Job& j, int max_deaths) {
   return true;
 }
 
-void JobLifecycle::run_attempts_locally(Job& j) {
-  start(j);
-  while (!j.finished) {
-    while (!killed() && steady_seconds() < j.ready_at)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    JobResult attempt;
-    AttemptOutcome outcome = AttemptOutcome::kDone;
-    try {
-      FlowAttemptRequest req;
-      req.spec = j.spec;
-      req.attempt = j.attempt;
-      req.resume = j.resume;
-      req.kill_flag = &kill_;
-      req.on_checkpoint = [this, &j](const FlowSnapshot& snap) {
-        checkpoint(j, serialize_snapshot(snap));
-      };
-      run_flow_attempt(opt_, req, attempt);
-    } catch (...) {
-      outcome = classify(std::current_exception(), attempt);
+void JobLifecycle::run_attempts_locally(Job& j) noexcept {
+  try {
+    start(j);
+    while (!j.finished) {
+      while (!killed() && steady_seconds() < j.ready_at)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      JobResult attempt;
+      AttemptOutcome outcome = AttemptOutcome::kDone;
+      try {
+        FlowAttemptRequest req;
+        req.spec = j.spec;
+        req.attempt = j.attempt;
+        req.resume = j.resume;
+        req.kill_flag = &kill_;
+        req.on_checkpoint = [this, &j](const FlowSnapshot& snap) {
+          checkpoint(j, serialize_snapshot(snap));
+        };
+        run_flow_attempt(opt_, req, attempt);
+      } catch (...) {
+        outcome = classify(std::current_exception(), attempt);
+      }
+      settle(j, outcome, std::move(attempt));
     }
-    settle(j, outcome, std::move(attempt));
+  } catch (...) {
+    // classify() turns whatever an attempt throws into an outcome, so only
+    // the bookkeeping around attempts gets here: an allocation failure in
+    // classify or settle. The job fails, without touching the heap, instead
+    // of the exception ending the process (this runs on pool threads, where
+    // it would reach std::terminate).
+    if (!j.finished) {
+      JobResult& r = results_[j.index];
+      r.state = JobState::kFailed;
+      r.error_code = kJobFailed;
+      r.attempts = j.attempt;
+      j.finished = true;
+      --unfinished_;
+      count(&ServiceStats::jobs_failed);
+    }
   }
 }
 

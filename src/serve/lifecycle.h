@@ -137,8 +137,10 @@ class JobLifecycle {
   /// settled (a death never burns the retry budget); returns true once
   /// `max_deaths` workers died on it and it is quarantined (local_only).
   bool worker_died(Job& j, int max_deaths);
-  /// Runs attempts in this thread until the job is finished.
-  void run_attempts_locally(Job& j);
+  /// Runs attempts in this thread until the job is finished. Never throws:
+  /// an attempt's exception settles that attempt (classify), and a failure
+  /// in the settling itself (out of memory) marks the job FAILED.
+  void run_attempts_locally(Job& j) noexcept;
   /// Reports every unfinished job CHECKPOINTED (the batch was shut down).
   void interrupt_unfinished();
 

@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <thread>
 
 #include "gen/circuit_gen.h"
@@ -335,12 +334,16 @@ std::vector<JobResult> FlowService::run_batch(
   ThreadPool pool(opt_.threads > 0 ? static_cast<unsigned>(opt_.threads)
                                    : ThreadPool::hardware_threads());
   JobLifecycle lifecycle(opt_, specs, counters_, shutdown_requested_);
-  std::vector<std::future<void>> running;
+  std::vector<JobLifecycle::Job*> todo;
   for (JobLifecycle::Job& j : lifecycle.jobs())
-    if (!j.finished)
-      running.push_back(
-          pool.submit([&lifecycle, &j] { lifecycle.run_attempts_locally(j); }));
-  for (auto& f : running) f.get();
+    if (!j.finished) todo.push_back(&j);
+  // One job per chunk: the calling thread and every pool worker claim jobs
+  // in submission order, so `threads` jobs run at once.
+  // run_attempts_locally never throws (see its contract), so no exception
+  // can leave a pool worker.
+  pool.parallel_for(todo.size(), 1, [&](std::size_t k) {
+    lifecycle.run_attempts_locally(*todo[k]);
+  });
   return lifecycle.take_results();
 }
 

@@ -14,7 +14,8 @@ namespace repro {
 
 /// Options for the flow service.
 struct ServiceOptions {
-  /// Concurrent jobs (0 = hardware concurrency, 1 = sequential).
+  /// Jobs run at once, started in submission order (0 = hardware
+  /// concurrency, 1 = sequential).
   int threads = 1;
   /// Default embedder threads inside each job's replication engine
   /// (results are bit-identical for every value; 1 avoids oversubscribing

@@ -5,41 +5,33 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace repro {
 
 /// Small work-stealing thread pool (no external dependencies).
 ///
-/// Built for the embedder's subtree and join-column parallelism, and reused
-/// by the flow service and the analytic placer:
-///
-///  * `submit(fn)` enqueues a task and returns a `std::future` — used where
-///    the caller later harvests each result (flow-service jobs);
-///  * `parallel_for(n, grain, fn)` splits an index range into chunks and
-///    runs them on the pool *and* on the calling thread, which always takes
-///    chunk 0 — used for the embedder's sibling subtrees (heaviest first)
-///    and its `A[i][*]` column loop. The caller participates in the chunk
-///    loop, so nesting a `parallel_for` inside a pool task cannot deadlock:
-///    progress never depends on another worker becoming free.
+/// `parallel_for(n, grain, fn)` splits an index range into chunks and runs
+/// them on the pool *and* on the calling thread, which always takes chunk 0;
+/// further chunks are claimed in index order. It serves the embedder's
+/// sibling subtrees (heaviest first) and `A[i][*]` column loop, the analytic
+/// placer's gradient loops, and the flow service's jobs (one per chunk).
+/// The caller participates in the chunk loop, so nesting a `parallel_for`
+/// inside a chunk cannot deadlock: progress never depends on another worker
+/// becoming free.
 ///
 /// Each worker owns a deque protected by a small mutex: owners push/pop at
 /// the back (LIFO, keeps the working set hot and runs freshly spawned
 /// `parallel_for` chunks before older tasks), thieves steal from the front
-/// (FIFO). A pool constructed with `threads <= 1` spawns no
-/// workers; `submit` then runs the task inline, and `parallel_for` degrades
-/// to a plain serial loop.
+/// (FIFO). A pool constructed with `threads <= 1` spawns no workers, and
+/// `parallel_for` degrades to a plain serial loop.
 ///
-/// Determinism: the pool never reorders *results* — callers either join on
-/// futures or partition writes by index — so every consumer in this codebase
-/// produces bit-identical output for any worker count. See
-/// docs/ALGORITHMS.md §11 for the argument.
+/// Determinism: the pool never reorders *results* — callers partition writes
+/// by index — so every consumer in this codebase produces bit-identical
+/// output for any worker count. See docs/ALGORITHMS.md §11 for the argument.
 class ThreadPool {
  public:
   /// `threads` = total threads participating in the pool's work, counting
@@ -57,24 +49,10 @@ class ThreadPool {
   /// `std::thread::hardware_concurrency()`, never 0.
   static unsigned hardware_threads();
 
-  /// Enqueues `fn` and returns its future. With no workers the task runs
-  /// inline (the future is ready on return).
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> fut = task->get_future();
-    if (workers_.empty()) {
-      (*task)();
-      return fut;
-    }
-    push_task([task] { (*task)(); });
-    return fut;
-  }
-
   /// Runs `fn(i)` for i in [0, n). Chunks of `grain` indices are distributed
   /// over the workers and the calling thread; returns when all n calls have
-  /// completed. `fn` must be safe to invoke concurrently for distinct i.
+  /// completed. `fn` must be safe to invoke concurrently for distinct i, and
+  /// must not throw: a worker has no caller to hand the exception to.
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 

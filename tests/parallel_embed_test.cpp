@@ -34,20 +34,27 @@ namespace {
 
 // ---- thread pool unit tests -------------------------------------------------
 
-TEST(ThreadPool, SubmitReturnsResults) {
+TEST(ThreadPool, ParallelForWritesResultsByIndex) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   EXPECT_EQ(pool.num_workers(), 3u);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 32; ++i) futs.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[i].get(), i * i);
+  std::vector<int> out(32, -1);
+  pool.parallel_for(out.size(), 1, [&](std::size_t i) {
+    out[i] = static_cast<int>(i * i);
+  });
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_workers(), 0u);
-  auto fut = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(fut.get(), 42);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> out(4, 0);
+  pool.parallel_for(out.size(), 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    out[i] = 41 + 1;
+  });
+  for (int v : out) EXPECT_EQ(v, 42);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
@@ -66,17 +73,15 @@ TEST(ThreadPool, ParallelForInsidePoolTaskDoesNotDeadlock) {
   // subtrees); the caller participates in its own chunk loop, so this must
   // complete even when every worker is busy.
   ThreadPool pool(2);
-  std::vector<std::future<long>> futs;
-  for (int t = 0; t < 4; ++t) {
-    futs.push_back(pool.submit([&pool] {
-      std::atomic<long> sum{0};
-      pool.parallel_for(100, 3, [&](std::size_t i) {
-        sum.fetch_add(static_cast<long>(i));
-      });
-      return sum.load();
-    }));
-  }
-  for (auto& f : futs) EXPECT_EQ(f.get(), 100L * 99 / 2);
+  std::vector<long> sums(4, 0);
+  pool.parallel_for(sums.size(), 1, [&](std::size_t t) {
+    std::atomic<long> sum{0};
+    pool.parallel_for(100, 3, [&](std::size_t i) {
+      sum.fetch_add(static_cast<long>(i));
+    });
+    sums[t] = sum.load();
+  });
+  for (long s : sums) EXPECT_EQ(s, 100L * 99 / 2);
 }
 
 // ---- embedder DP-level parallelism ------------------------------------------

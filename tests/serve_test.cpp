@@ -721,10 +721,27 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
   invalid.id = "invalid";
   invalid.circuit = "not-a-circuit";
 
+  // The hang job resumes from its post-placement checkpoint, so its 0.2 s
+  // deadline runs out in the replicate-stage hang however long placing ex5p
+  // takes (sanitizer builds, two jobs sharing the CPU).
+  TempDir dir("hang_and_failure");
+  {
+    JobSpec placed = hang;
+    placed.inject_hang_stage.clear();
+    placed.timeout_seconds = 0;
+    ServiceOptions place_opt;
+    place_opt.checkpoint_dir = dir.path;
+    place_opt.stop_after_checkpoints = 1;
+    FlowService placer(place_opt);
+    ASSERT_EQ(placer.run_batch({placed})[0].completed_stage, FlowStage::kPlaced);
+  }
+
   ServiceOptions opt;
   opt.threads = 2;
   opt.max_retries = 1;
   opt.retry_backoff_seconds = 0;
+  opt.checkpoint_dir = dir.path;
+  opt.resume = true;
   FlowService svc(opt);
   const auto res = svc.run_batch({good, hang, fail, invalid});
   ASSERT_EQ(res.size(), 4u);
@@ -737,6 +754,7 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
   EXPECT_EQ(res[1].error_code, kJobTimedOut);
   EXPECT_EQ(res[1].attempts, 1);  // deterministic: timeouts are not retried
   EXPECT_EQ(res[1].completed_stage, FlowStage::kPlaced);
+  EXPECT_TRUE(res[1].resumed);
 
   EXPECT_EQ(res[2].state, JobState::kFailed);
   EXPECT_EQ(res[2].error_code, kJobFailed);
@@ -758,6 +776,39 @@ TEST(FlowService, BatchSurvivesHangAndFailure) {
     const auto obj = parse_jsonl_object(format_result_line(r, false));
     EXPECT_EQ(obj.at("state").str, job_state_name(r.state));
     EXPECT_EQ(static_cast<int>(obj.at("error_code").num), r.error_code);
+  }
+}
+
+// `threads` jobs run at once. Each job hangs before any compute until its
+// 0.5 s stage deadline, so four of them take one deadline on four threads,
+// where a pool running only threads - 1 jobs at once would take two, and
+// four deadlines in sequence on one thread.
+TEST(FlowService, RunsThreadsJobsAtOnce) {
+  std::vector<JobSpec> specs;
+  for (int i = 0; i < 4; ++i) {
+    JobSpec spec = small_job("tseng", 1, 1);
+    spec.id = "hang" + std::to_string(i);
+    spec.inject_hang_stage = "place";
+    spec.timeout_seconds = 0.5;
+    specs.push_back(spec);
+  }
+  for (const int threads : {4, 1}) {
+    ServiceOptions opt;
+    opt.threads = threads;
+    FlowService svc(opt);
+    const double t0 = steady_seconds();
+    const auto res = svc.run_batch(specs);
+    const double wall = steady_seconds() - t0;
+    ASSERT_EQ(res.size(), 4u);
+    for (const JobResult& r : res) {
+      EXPECT_EQ(r.state, JobState::kTimedOut) << r.spec.id;
+      EXPECT_EQ(r.completed_stage, FlowStage::kInit) << r.spec.id;
+    }
+    EXPECT_EQ(svc.stats().jobs_timed_out, 4u);
+    if (threads == 4)
+      EXPECT_LT(wall, 1.0) << "four hanging jobs did not run at once";
+    else
+      EXPECT_GE(wall, 2.0) << "one thread ran jobs concurrently";
   }
 }
 

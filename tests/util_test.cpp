@@ -3,9 +3,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -204,31 +204,35 @@ TEST(Stats, Fmt) {
 }
 
 // Regression stress for the lost-wakeup race in the pool's park/notify path
-// (push_task and parallel_for must lock idle_mu_ before notifying): a worker
+// (push_task and ~ThreadPool must lock idle_mu_ before notifying): a worker
 // that has just evaluated its wait predicate as false must still observe a
-// concurrently pushed task. Single-task bursts against a freshly woken or
-// parking pool maximize that window; the observable failure is a hang (a
-// worker sleeping through the notify while its future never resolves), which
-// the test TIMEOUT turns into a failure. Run under TSan in CI.
-TEST(ThreadPool, RapidSubmitDrainShutdownCycles) {
+// concurrently pushed task. Small bursts against a freshly woken or parking
+// pool maximize that window. The caller's chunk 0 waits until every other
+// chunk has run, which only woken workers can do, so the observable failure
+// is a hang (a worker sleeping through the notify), which the test TIMEOUT
+// turns into a failure. Run under TSan in CI.
+void parallel_for_on_workers(ThreadPool& pool, std::size_t n) {
+  std::atomic<std::size_t> others{0};
+  pool.parallel_for(n, 1, [&](std::size_t i) {
+    if (i != 0) {
+      others.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    while (others.load(std::memory_order_acquire) != n - 1)
+      std::this_thread::yield();
+  });
+  ASSERT_EQ(others.load(), n - 1);
+}
+
+TEST(ThreadPool, RapidParallelForDrainShutdownCycles) {
   for (int cycle = 0; cycle < 150; ++cycle) {
     ThreadPool pool(3);
-    // 1-task burst on a pool whose workers are about to park.
-    auto single = pool.submit([cycle] { return cycle; });
-    ASSERT_EQ(single.get(), cycle);
+    // 1-helper burst on a pool whose workers are about to park.
+    parallel_for_on_workers(pool, 2);
 
     // Drain a small burst, then immediately go quiet so workers re-park;
     // repeat to cycle park -> wake -> park within one pool lifetime.
-    for (int burst = 0; burst < 3; ++burst) {
-      std::atomic<int> sum{0};
-      std::vector<std::future<void>> fs;
-      fs.reserve(4);
-      for (int i = 0; i < 4; ++i)
-        fs.push_back(pool.submit(
-            [&sum] { sum.fetch_add(1, std::memory_order_relaxed); }));
-      for (auto& f : fs) f.get();
-      ASSERT_EQ(sum.load(), 4);
-    }
+    for (int burst = 0; burst < 3; ++burst) parallel_for_on_workers(pool, 4);
     // Pool destruction: shutdown racing with workers that may be parking.
   }
 }

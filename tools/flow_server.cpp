@@ -97,7 +97,8 @@ int usage() {
                "  --sessions-dir D     persist ECO sessions into D as .ecs files;\n"
                "                       an open_session whose id has a file there\n"
                "                       resumes it mid-stream\n"
-               "  --threads N          concurrent jobs (0 = hardware, default 1)\n"
+               "  --threads N          jobs run at once, started in submission order\n"
+               "                       (0 = hardware, default 1)\n"
                "  --engine-threads N   embedder threads per job (default 1)\n"
                "  --job-timeout S      per-stage wall-clock timeout in seconds\n"
                "  --max-retries N      retries for failed (not timed-out) jobs\n"
