@@ -53,8 +53,7 @@ constexpr int kReps = 3;
 constexpr double kScale = 0.05;
 
 const McncCircuit& circuit_named(const char* name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (m.name == std::string(name)) return m;
+  if (const McncCircuit* c = find_mcnc_circuit(name)) return *c;
   std::fprintf(stderr, "no such circuit: %s\n", name);
   std::exit(1);
 }

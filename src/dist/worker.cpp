@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <climits>
 #include <mutex>
 #include <thread>
 
@@ -14,10 +15,6 @@
 
 namespace repro {
 namespace {
-
-bool valid_fault_stage(const std::string& s) {
-  return s == "place" || s == "replicate" || s == "route";
-}
 
 /// Stage-boundary checkpoints are named by the stage that just completed.
 const char* checkpoint_stage_name(FlowStage s) {
@@ -270,9 +267,8 @@ bool parse_fault_plan(const std::string& spec, FaultPlan* out,
     const std::string name = hook.substr(0, eq);
     const std::string value = hook.substr(eq + 1);
     auto parse_count = [&](const std::string& v, int* n) {
-      char* rest = nullptr;
-      const long parsed = std::strtol(v.c_str(), &rest, 10);
-      if (!rest || *rest != '\0' || parsed <= 0) {
+      long parsed = 0;
+      if (!parse_long(v.c_str(), &parsed) || parsed <= 0 || parsed > INT_MAX) {
         *err = "fault hook '" + name + "' needs a positive integer, got '" +
                v + "'";
         return false;
@@ -288,7 +284,7 @@ bool parse_fault_plan(const std::string& spec, FaultPlan* out,
         s = v.substr(0, colon);
         if (!parse_count(v.substr(colon + 1), nth)) return false;
       }
-      if (!valid_fault_stage(s)) {
+      if (!is_stage_name(s)) {
         *err = "fault hook '" + name + "' needs place|replicate|route, got '" +
                s + "'";
         return false;

@@ -65,6 +65,9 @@ struct McncCircuit {
 /// The Table I suite, in the paper's order (ex5p .. clma).
 const std::vector<McncCircuit>& mcnc_suite();
 
+/// The suite entry called `name`, or nullptr if there is none.
+const McncCircuit* find_mcnc_circuit(const std::string& name);
+
 /// Builds the CircuitSpec for one suite entry scaled by `scale` (block counts
 /// multiplied by scale; a scale of 1.0 reproduces Table I sizes).
 CircuitSpec spec_for(const McncCircuit& c, double scale, std::uint64_t seed);

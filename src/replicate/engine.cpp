@@ -42,6 +42,17 @@ const char* variant_name(EmbedVariant v) {
   return "?";
 }
 
+bool parse_variant(const std::string& name, EmbedVariant* out) {
+  if (name == "rt") *out = EmbedVariant::kRtEmbedding;
+  else if (name == "lex2") *out = EmbedVariant::kLex2;
+  else if (name == "lex3") *out = EmbedVariant::kLex3;
+  else if (name == "lex4") *out = EmbedVariant::kLex4;
+  else if (name == "lex5") *out = EmbedVariant::kLex5;
+  else if (name == "mc") *out = EmbedVariant::kLexMc;
+  else return false;
+  return true;
+}
+
 namespace {
 
 EmbedOptions embed_options_for(const EngineOptions& opt) {

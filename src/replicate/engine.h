@@ -23,6 +23,9 @@ enum class EmbedVariant {
 };
 
 const char* variant_name(EmbedVariant v);
+/// Parses a short command-line/job name (rt|lex2|lex3|lex4|lex5|mc) into
+/// `*out`; false (and `*out` untouched) for any other name.
+bool parse_variant(const std::string& name, EmbedVariant* out);
 
 struct EngineOptions {
   EmbedVariant variant = EmbedVariant::kRtEmbedding;

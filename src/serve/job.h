@@ -27,6 +27,14 @@ enum class JobState : std::uint8_t {
 
 const char* job_state_name(JobState s);
 
+/// True for 1-128 characters of [A-Za-z0-9._-]: job ids and ECO session ids
+/// name checkpoint and session files.
+bool filename_safe(const std::string& id);
+
+/// True for "place", "replicate" or "route", the stages a fault can be
+/// injected into.
+bool is_stage_name(const std::string& s);
+
 /// Per-job result codes recorded in the output JSONL.
 enum JobErrorCode {
   kJobOk = 0,

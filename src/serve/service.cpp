@@ -4,7 +4,6 @@
 #include "util/stats.h"
 
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "gen/circuit_gen.h"
@@ -16,18 +15,6 @@
 #include "util/thread_pool.h"
 
 namespace repro {
-namespace {
-
-bool variant_from_name(const std::string& name, EmbedVariant* out) {
-  if (name == "rt") *out = EmbedVariant::kRtEmbedding;
-  else if (name == "lex2") *out = EmbedVariant::kLex2;
-  else if (name == "lex3") *out = EmbedVariant::kLex3;
-  else if (name == "lex4") *out = EmbedVariant::kLex4;
-  else if (name == "lex5") *out = EmbedVariant::kLex5;
-  else if (name == "mc") *out = EmbedVariant::kLexMc;
-  else return false;
-  return true;
-}
 
 bool filename_safe(const std::string& id) {
   if (id.empty() || id.size() > 128) return false;
@@ -39,33 +26,29 @@ bool filename_safe(const std::string& id) {
   return true;
 }
 
-const McncCircuit* find_circuit(const std::string& name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (name == m.name) return &m;
-  return nullptr;
+bool is_stage_name(const std::string& s) {
+  return s == "place" || s == "replicate" || s == "route";
 }
-
-bool stage_name_valid(const std::string& s) {
-  return s.empty() || s == "place" || s == "replicate" || s == "route";
-}
-
-}  // namespace
 
 std::string validate_job_spec(const JobSpec& spec) {
   if (!filename_safe(spec.id))
     return "id must be a non-empty filename-safe string ([A-Za-z0-9._-])";
-  if (!find_circuit(spec.circuit)) return "unknown circuit '" + spec.circuit + "'";
+  if (!find_mcnc_circuit(spec.circuit))
+    return "unknown circuit '" + spec.circuit + "'";
   if (!(spec.scale > 0)) return "scale must be > 0";
   EmbedVariant v;
-  if (spec.variant != "none" && !variant_from_name(spec.variant, &v))
+  if (spec.variant != "none" && !parse_variant(spec.variant, &v))
     return "unknown variant '" + spec.variant + "'";
   PlacerBackend pb;
   if (!spec.placer.empty() && !parse_placer_backend(spec.placer, &pb))
     return "unknown placer '" + spec.placer + "'";
   if (spec.engine_threads < 0) return "engine_threads must be >= 0";
   if (spec.timeout_seconds < 0) return "timeout_seconds must be >= 0";
-  if (!stage_name_valid(spec.inject_fail_stage)) return "bad inject_fail stage";
-  if (!stage_name_valid(spec.inject_hang_stage)) return "bad inject_hang stage";
+  auto stage_ok = [](const std::string& s) {
+    return s.empty() || is_stage_name(s);
+  };
+  if (!stage_ok(spec.inject_fail_stage)) return "bad inject_fail stage";
+  if (!stage_ok(spec.inject_hang_stage)) return "bad inject_hang stage";
   return "";
 }
 
@@ -107,6 +90,45 @@ EngineSummary summarize(const EngineResult& r) {
 }
 
 }  // namespace
+
+void place_job_circuit(const McncCircuit& c, const FlowConfig& cfg,
+                       AuditLevel audit, const CancelToken* cancel, Rng& rng,
+                       FlowSnapshot& snap) {
+  snap.nl = std::make_unique<Netlist>(
+      generate_circuit(spec_for(c, cfg.scale, cfg.seed)));
+  snap.grid_n = FpgaGrid::min_grid_for(
+      snap.nl->num_logic(),
+      snap.nl->num_input_pads() + snap.nl->num_output_pads());
+  snap.grid = std::make_unique<FpgaGrid>(snap.grid_n, snap.grid_io_rat);
+  PlacerOptions popt;
+  popt.backend = cfg.placer;
+  popt.annealer = cfg.annealer;
+  popt.annealer.seed = rng.next_u64();
+  popt.annealer.cancel = cancel;
+  popt.analytic = cfg.analytic;
+  popt.audit = audit;
+  popt.audit_seed = cfg.seed;
+  snap.pl = std::make_unique<Placement>(
+      place_circuit(*snap.nl, *snap.grid, cfg.delay, popt));
+}
+
+void replicate_job_circuit(EmbedVariant variant, int num_threads,
+                           const CancelToken* cancel,
+                           const LinearDelayModel& delay,
+                           FlowSnapshot& snap) {
+  EngineOptions eopt;
+  eopt.variant = variant;
+  eopt.num_threads = num_threads;
+  eopt.cancel = cancel;
+  snap.engine =
+      summarize(run_replication_engine(*snap.nl, *snap.pl, delay, eopt));
+  const std::string err = snap.nl->validate();
+  if (!err.empty())
+    throw std::runtime_error("netlist invalid after replication: " + err);
+  if (!snap.pl->legal())
+    throw std::runtime_error("placement illegal after replication: " +
+                             snap.pl->check_legal());
+}
 
 void record_boundary(const ServiceOptions& opt, const FlowSnapshot& snap,
                      JobResult& out) {
@@ -198,7 +220,7 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
   std::unique_ptr<Netlist> golden;
   auto ensure_golden = [&]() {
     if (golden) return;
-    const McncCircuit* c = find_circuit(spec.circuit);
+    const McncCircuit* c = find_mcnc_circuit(spec.circuit);
     golden = std::make_unique<Netlist>(
         generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
   };
@@ -241,26 +263,11 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     maybe_inject(spec, "place", token);
     reset_peak_rss();
     const double t0 = steady_seconds();
-    const McncCircuit* c = find_circuit(spec.circuit);
-    snap.nl = std::make_unique<Netlist>(
-        generate_circuit(spec_for(*c, cfg.scale, cfg.seed)));
-    snap.grid_n = FpgaGrid::min_grid_for(
-        snap.nl->num_logic(),
-        snap.nl->num_input_pads() + snap.nl->num_output_pads());
-    snap.grid = std::make_unique<FpgaGrid>(snap.grid_n, snap.grid_io_rat);
-    PlacerOptions popt;
-    popt.backend = cfg.placer;
-    popt.annealer = cfg.annealer;
-    popt.annealer.seed = rng.next_u64();
-    popt.annealer.cancel = &token;
-    popt.analytic = cfg.analytic;
     // Stage batteries inside place_circuit (place.analytic / place.polish)
     // run at the service's audit level; the job-level "place" battery below
     // still covers the final placement for every backend.
-    popt.audit = cfg.audit;
-    popt.audit_seed = cfg.seed;
-    snap.pl = std::make_unique<Placement>(
-        place_circuit(*snap.nl, *snap.grid, cfg.delay, popt));
+    place_job_circuit(*find_mcnc_circuit(spec.circuit), cfg, cfg.audit, &token,
+                      rng, snap);
     snap.rng_state = rng.state();
     snap.place_seconds = steady_seconds() - t0;
     out.place_peak_rss_bytes = peak_rss_bytes();
@@ -280,19 +287,9 @@ void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
     if (spec.variant != "none") {
       if (cfg.audit != AuditLevel::kOff)
         golden = std::make_unique<Netlist>(*snap.nl);
-      EngineOptions eopt;
-      variant_from_name(spec.variant, &eopt.variant);
-      eopt.num_threads = cfg.num_threads;
-      eopt.cancel = &token;
-      EngineResult r =
-          run_replication_engine(*snap.nl, *snap.pl, cfg.delay, eopt);
-      snap.engine = summarize(r);
-      const std::string err = snap.nl->validate();
-      if (!err.empty())
-        throw std::runtime_error("netlist invalid after replication: " + err);
-      if (!snap.pl->legal())
-        throw std::runtime_error("placement illegal after replication: " +
-                                 snap.pl->check_legal());
+      EmbedVariant variant = EmbedVariant::kRtEmbedding;
+      parse_variant(spec.variant, &variant);  // validated at submit
+      replicate_job_circuit(variant, cfg.num_threads, &token, cfg.delay, snap);
     }
     snap.rng_state = rng.state();
     snap.replicate_seconds = steady_seconds() - t0;
@@ -364,48 +361,18 @@ ServiceOptions service_options_from_env(ServiceOptions base) {
 JobSpec parse_job_line(const std::string& line) {
   const auto obj = parse_jsonl_object(line);
   JobSpec spec;
-  auto str = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kString)
-      throw JsonlError("key \"" + key + "\" must be a string");
-    return v.str;
-  };
-  auto num = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kNumber)
-      throw JsonlError("key \"" + key + "\" must be a number");
-    return v.num;
-  };
-  auto boolean = [](const JsonValue& v, const std::string& key) {
-    if (v.kind != JsonValue::Kind::kBool)
-      throw JsonlError("key \"" + key + "\" must be a boolean");
-    return v.b;
-  };
-  // Range-checked casts: a negative or huge double -> unsigned/int cast is
-  // undefined behaviour, so "seed": -1 must be a JsonlError, not UB.
-  auto u64 = [&num](const JsonValue& v, const std::string& key) {
-    const double d = num(v, key);
-    if (!(d >= 0) || !(d < 18446744073709551616.0) || d != std::floor(d))
-      throw JsonlError("key \"" + key +
-                       "\" must be a non-negative integer < 2^64");
-    return static_cast<std::uint64_t>(d);
-  };
-  auto i32 = [&num](const JsonValue& v, const std::string& key) {
-    const double d = num(v, key);
-    if (!(d >= -2147483648.0) || !(d <= 2147483647.0) || d != std::floor(d))
-      throw JsonlError("key \"" + key + "\" must be a 32-bit integer");
-    return static_cast<int>(d);
-  };
   for (const auto& [key, v] : obj) {
-    if (key == "id") spec.id = str(v, key);
-    else if (key == "circuit") spec.circuit = str(v, key);
-    else if (key == "scale") spec.scale = num(v, key);
-    else if (key == "seed") spec.seed = u64(v, key);
-    else if (key == "variant") spec.variant = str(v, key);
-    else if (key == "placer") spec.placer = str(v, key);
-    else if (key == "route") spec.route = boolean(v, key);
-    else if (key == "engine_threads") spec.engine_threads = i32(v, key);
-    else if (key == "timeout_seconds") spec.timeout_seconds = num(v, key);
-    else if (key == "inject_fail") spec.inject_fail_stage = str(v, key);
-    else if (key == "inject_hang") spec.inject_hang_stage = str(v, key);
+    if (key == "id") spec.id = json_string(v, key);
+    else if (key == "circuit") spec.circuit = json_string(v, key);
+    else if (key == "scale") spec.scale = json_number(v, key);
+    else if (key == "seed") spec.seed = json_u64(v, key);
+    else if (key == "variant") spec.variant = json_string(v, key);
+    else if (key == "placer") spec.placer = json_string(v, key);
+    else if (key == "route") spec.route = json_bool(v, key);
+    else if (key == "engine_threads") spec.engine_threads = json_i32(v, key);
+    else if (key == "timeout_seconds") spec.timeout_seconds = json_number(v, key);
+    else if (key == "inject_fail") spec.inject_fail_stage = json_string(v, key);
+    else if (key == "inject_hang") spec.inject_hang_stage = json_string(v, key);
     else throw JsonlError("unknown job key \"" + key + "\"");
   }
   return spec;

@@ -7,8 +7,11 @@
 #include <vector>
 
 #include "flow/experiment.h"
+#include "replicate/engine.h"
 #include "serve/job.h"
 #include "serve/lifecycle.h"
+#include "util/cancel.h"
+#include "util/rng.h"
 
 namespace repro {
 
@@ -75,6 +78,24 @@ struct FlowAttemptRequest {
 /// otherwise (see classify in serve/lifecycle.h).
 void run_flow_attempt(const ServiceOptions& opt, const FlowAttemptRequest& req,
                       JobResult& out);
+
+/// The place stage of a flow job, shared with ECO sessions: generates `c` at
+/// (cfg.scale, cfg.seed), sizes the grid and places the circuit with
+/// cfg.placer, drawing the annealer seed from `rng`. Fills snap.nl, grid_n,
+/// grid and pl. The placer's own audit batteries run at `audit`; `cancel`
+/// may be null.
+void place_job_circuit(const McncCircuit& c, const FlowConfig& cfg,
+                       AuditLevel audit, const CancelToken* cancel, Rng& rng,
+                       FlowSnapshot& snap);
+
+/// The replicate stage of a flow job, shared with ECO sessions: runs the
+/// engine on snap's netlist and placement, records its summary in
+/// snap.engine, and throws std::runtime_error if the netlist comes out
+/// invalid or the placement illegal. `cancel` may be null.
+void replicate_job_circuit(EmbedVariant variant, int num_threads,
+                           const CancelToken* cancel,
+                           const LinearDelayModel& delay,
+                           FlowSnapshot& snap);
 
 /// Copies the job state a stage-boundary snapshot carries (stage, engine
 /// summary, metrics, stage seconds, audit level and check count) into an

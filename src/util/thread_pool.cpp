@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace repro {
 
@@ -10,81 +11,14 @@ unsigned ThreadPool::hardware_threads() {
 }
 
 ThreadPool::ThreadPool(unsigned threads) : num_threads_(std::max(1u, threads)) {
-  const unsigned workers = num_threads_ - 1;
-  queues_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i)
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i)
-    workers_.emplace_back([this, i](std::stop_token st) { worker_loop(st, i); });
+  workers_.reserve(num_threads_ - 1);
+  for (unsigned i = 1; i < num_threads_; ++i)
+    workers_.emplace_back([this](std::stop_token st) { worker_loop(st); });
 }
 
-ThreadPool::~ThreadPool() {
-  for (auto& w : workers_) w.request_stop();
-  // Locking idle_mu_ before notifying closes the lost-wakeup window: a worker
-  // that evaluated its wait predicate as false cannot block on idle_cv_ until
-  // we release the mutex, so it is guaranteed to observe the notify.
-  { std::lock_guard<std::mutex> lk(idle_mu_); }
-  idle_cv_.notify_all();
-  workers_.clear();  // joins
-}
-
-void ThreadPool::push_task(std::function<void()> task) {
-  const unsigned q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                     static_cast<unsigned>(queues_.size());
-  // pending_ goes up before the task is visible so workers never decrement it
-  // below zero after a successful pop.
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(queues_[q]->mu);
-    queues_[q]->tasks.push_back(std::move(task));
-  }
-  // Same lost-wakeup fence as in the destructor: synchronize with any worker
-  // mid-way between predicate check and blocking before notifying.
-  { std::lock_guard<std::mutex> lk(idle_mu_); }
-  idle_cv_.notify_one();
-}
-
-bool ThreadPool::try_pop_or_steal(std::function<void()>& out, unsigned self) {
-  const unsigned nq = static_cast<unsigned>(queues_.size());
-  // Own queue first (back = LIFO: freshest work, usually parallel_for chunks
-  // spawned by the task this worker just ran).
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal from the front of the others (FIFO: oldest work migrates).
-  for (unsigned k = 1; k < nq; ++k) {
-    WorkerQueue& q = *queues_[(self + k) % nq];
-    std::lock_guard<std::mutex> lk(q.mu);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::stop_token st, unsigned self) {
-  while (!st.stop_requested()) {
-    std::function<void()> task;
-    if (try_pop_or_steal(task, self)) {
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lk(idle_mu_);
-    idle_cv_.wait(lk, [&] {
-      return st.stop_requested() || pending_.load(std::memory_order_acquire) > 0;
-    });
-  }
-}
+// Each jthread's destructor requests stop, which wakes its wait on cv_, and
+// joins it.
+ThreadPool::~ThreadPool() { workers_.clear(); }
 
 struct ThreadPool::ForState {
   std::atomic<std::size_t> next_chunk{0};
@@ -114,6 +48,20 @@ struct ThreadPool::ForState {
   }
 };
 
+void ThreadPool::worker_loop(std::stop_token st) {
+  std::unique_lock<std::mutex> lk(mu_);
+  // Entries still queued at stop are stale (no parallel_for outlives the
+  // pool) and drain at once.
+  while (cv_.wait(lk, st, [&] { return !helpers_.empty(); })) {
+    std::shared_ptr<ForState> state = std::move(helpers_.front());
+    helpers_.pop_front();
+    lk.unlock();
+    state->drain(state->next_chunk.fetch_add(1, std::memory_order_relaxed));
+    state.reset();  // may free the state: not under the lock
+    lk.lock();
+  }
+}
+
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -123,9 +71,9 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     return;
   }
 
-  // Shared state owned by shared_ptr: helper tasks that fire after the
+  // Shared state owned by shared_ptr: helper entries popped after the
   // caller has already finished every chunk find an exhausted counter and
-  // return without touching freed memory.
+  // return without touching `fn` or freed memory.
   auto state = std::make_shared<ForState>();
   state->n = n;
   state->grain = grain;
@@ -137,10 +85,11 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
 
   const std::size_t helpers =
       std::min<std::size_t>(workers_.size(), state->num_chunks - 1);
-  for (std::size_t h = 0; h < helpers; ++h)
-    push_task([state] {
-      state->drain(state->next_chunk.fetch_add(1, std::memory_order_relaxed));
-    });
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    helpers_.insert(helpers_.end(), helpers, state);
+  }
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
 
   state->drain(0);  // the caller always participates — no idle-wait deadlock
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -12,21 +11,22 @@
 
 namespace repro {
 
-/// Small work-stealing thread pool (no external dependencies).
+/// Small thread pool for `parallel_for` (no external dependencies).
 ///
 /// `parallel_for(n, grain, fn)` splits an index range into chunks and runs
 /// them on the pool *and* on the calling thread, which always takes chunk 0;
-/// further chunks are claimed in index order. It serves the embedder's
-/// sibling subtrees (heaviest first) and `A[i][*]` column loop, the analytic
-/// placer's gradient loops, and the flow service's jobs (one per chunk).
-/// The caller participates in the chunk loop, so nesting a `parallel_for`
-/// inside a chunk cannot deadlock: progress never depends on another worker
-/// becoming free.
+/// further chunks are claimed in index order from one atomic counter. It
+/// serves the embedder's sibling subtrees (heaviest first) and `A[i][*]`
+/// column loop, the analytic placer's gradient loops, and the flow service's
+/// jobs (one per chunk).
 ///
-/// Each worker owns a deque protected by a small mutex: owners push/pop at
-/// the back (LIFO, keeps the working set hot and runs freshly spawned
-/// `parallel_for` chunks before older tasks), thieves steal from the front
-/// (FIFO). A pool constructed with `threads <= 1` spawns no workers, and
+/// The pool itself is one mutex, one condition variable and one FIFO of
+/// helper entries: a `parallel_for` queues up to `num_workers()` entries that
+/// all point at its shared chunk counter, and an idle worker pops an entry
+/// and claims chunks from that counter until none are left. The caller
+/// participates in the chunk loop, so nesting a `parallel_for` inside a chunk
+/// cannot deadlock: progress never depends on another worker becoming free.
+/// A pool constructed with `threads <= 1` spawns no workers, and
 /// `parallel_for` degrades to a plain serial loop.
 ///
 /// Determinism: the pool never reorders *results* — callers partition writes
@@ -59,24 +59,15 @@ class ThreadPool {
  private:
   struct ForState;
 
-  void push_task(std::function<void()> task);
-  bool try_pop_or_steal(std::function<void()>& out, unsigned self);
-  void worker_loop(std::stop_token st, unsigned self);
-
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  void worker_loop(std::stop_token st);
 
   unsigned num_threads_ = 1;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  std::mutex mu_;
+  std::condition_variable_any cv_;  // wakes on a queued entry or a stop
+  std::deque<std::shared_ptr<ForState>> helpers_;  // guarded by mu_
+  // Last member: its destruction requests stop and joins every worker
+  // before the queue and the mutex above are destroyed.
   std::vector<std::jthread> workers_;
-  std::atomic<unsigned> next_queue_{0};
-
-  // Sleep/wake machinery: workers park here when every queue is empty.
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::size_t> pending_{0};
 };
 
 }  // namespace repro

@@ -23,8 +23,7 @@ namespace repro {
 namespace {
 
 const McncCircuit& circuit_named(const char* name) {
-  for (const McncCircuit& m : mcnc_suite())
-    if (m.name == std::string(name)) return m;
+  if (const McncCircuit* c = find_mcnc_circuit(name)) return *c;
   throw std::runtime_error(std::string("no such circuit: ") + name);
 }
 

@@ -314,6 +314,14 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_FALSE(parse_fault_plan("corrupt_frame=0", &p, &err));
   EXPECT_FALSE(parse_fault_plan("kill_worker_at_stage=synthesize", &p, &err));
   EXPECT_FALSE(parse_fault_plan("hang_worker=place:x", &p, &err));
+  // Counts beyond int range are errors, not truncated: 2^32 would wrap to 0
+  // ("off") and 2^32 + 1 to 1.
+  EXPECT_FALSE(parse_fault_plan("corrupt_frame=4294967296", &p, &err));
+  EXPECT_FALSE(parse_fault_plan("drop_connection_after_frames=2147483648", &p,
+                                &err));
+  EXPECT_FALSE(parse_fault_plan("hang_worker=place:4294967297", &p, &err));
+  ASSERT_TRUE(parse_fault_plan("corrupt_frame=2147483647", &p, &err)) << err;
+  EXPECT_EQ(p.corrupt_frame, 2147483647);
 }
 
 // ---- chaos matrix ---------------------------------------------------------

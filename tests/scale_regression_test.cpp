@@ -96,8 +96,7 @@ std::uint64_t history_fingerprint(const EngineResult& r) {
 // ---- shared fixtures -----------------------------------------------------
 
 const McncCircuit& suite_entry(const char* name) {
-  for (const McncCircuit& c : mcnc_suite())
-    if (std::string(c.name) == name) return c;
+  if (const McncCircuit* c = find_mcnc_circuit(name)) return *c;
   ADD_FAILURE() << "no suite entry " << name;
   return mcnc_suite().front();
 }

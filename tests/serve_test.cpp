@@ -102,9 +102,7 @@ FlowSnapshot make_placed_snapshot(const char* circuit, double scale,
   s.cfg.scale = scale;
   s.cfg.seed = seed;
   Rng rng(seed);
-  const McncCircuit* c = nullptr;
-  for (const McncCircuit& m : mcnc_suite())
-    if (s.circuit == m.name) c = &m;
+  const McncCircuit* c = find_mcnc_circuit(s.circuit);
   s.nl = std::make_unique<Netlist>(generate_circuit(spec_for(*c, scale, seed)));
   s.grid_n = FpgaGrid::min_grid_for(
       s.nl->num_logic(), s.nl->num_input_pads() + s.nl->num_output_pads());

@@ -204,9 +204,10 @@ TEST(Stats, Fmt) {
 }
 
 // Regression stress for the lost-wakeup race in the pool's park/notify path
-// (push_task and ~ThreadPool must lock idle_mu_ before notifying): a worker
-// that has just evaluated its wait predicate as false must still observe a
-// concurrently pushed task. Small bursts against a freshly woken or parking
+// (parallel_for queues its helper entries and ~ThreadPool sets its stop flag
+// under the pool mutex the workers wait on): a worker that has just
+// evaluated its wait predicate as false must still observe a concurrently
+// queued entry. Small bursts against a freshly woken or parking
 // pool maximize that window. The caller's chunk 0 waits until every other
 // chunk has run, which only woken workers can do, so the observable failure
 // is a hang (a worker sleeping through the notify), which the test TIMEOUT

@@ -261,9 +261,7 @@ int run(const Args& args) {
       return 2;
     }
   } else {
-    const McncCircuit* c = nullptr;
-    for (const McncCircuit& m : mcnc_suite())
-      if (args.circuit == m.name) c = &m;
+    const McncCircuit* c = find_mcnc_circuit(args.circuit);
     if (!c) {
       std::fprintf(stderr, "replicate_tool: unknown circuit '%s'\n",
                    args.circuit.c_str());
@@ -324,13 +322,7 @@ int run(const Args& args) {
                 r.initial_critical, r.final_critical, r.replications);
   } else if (args.variant != "none") {
     EngineOptions opt;
-    if (args.variant == "rt") opt.variant = EmbedVariant::kRtEmbedding;
-    else if (args.variant == "lex2") opt.variant = EmbedVariant::kLex2;
-    else if (args.variant == "lex3") opt.variant = EmbedVariant::kLex3;
-    else if (args.variant == "lex4") opt.variant = EmbedVariant::kLex4;
-    else if (args.variant == "lex5") opt.variant = EmbedVariant::kLex5;
-    else if (args.variant == "mc") opt.variant = EmbedVariant::kLexMc;
-    else return usage();
+    if (!parse_variant(args.variant, &opt.variant)) return usage();
     opt.num_threads = args.threads > 0 ? args.threads : cfg.num_threads;
     EngineResult r = run_replication_engine(*nl, *pl, cfg.delay, opt);
     std::printf("%s: %.2f -> %.2f ns over %zu iterations "
